@@ -3,8 +3,9 @@
 Forests, signed labelings and linear extensions live in ``forest``;
 the permutation- and forest-level statistics in ``stats``; exact
 (t, q)-polynomials in ``qpoly``; the closed-form products in
-``formulas``; and the brute-force verification machinery, partitions,
-bijections and counterexample search in ``verify``.
+``formulas``; the verification machinery, partitions, bijections and
+counterexample search in ``verify``, whose distributions run on the
+ancestor-chain dynamic program of ``chaindp``.
 """
 
 from . import formulas, stats, verify

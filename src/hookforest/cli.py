@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("human", "records"), default="human")
 
-    p = sub.add_parser("dist", help="brute-force distribution of a statistic")
+    p = sub.add_parser("dist", help="distribution of a statistic over all labelings")
     p.add_argument("--forest", required=True)
     p.add_argument("--stat", required=True)
     p.add_argument("--mode", choices=("ordinary", "signed", "even-signed"),

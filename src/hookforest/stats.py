@@ -263,6 +263,23 @@ FOREST_STATS = {
     "dmaj-f": dmaj_forest,
 }
 
+# each forest statistic as a sum of per-vertex terms (hookforest.chaindp
+# defines the terms); the functions above stay the independent oracle
+FOREST_TERMS = {
+    "inv-f": {"inv": 1},
+    "maj-f": {"maj": 1},
+    "n1-f": {"n1": 1},
+    "n2-f": {"n2": 1},
+    "inv-b-f": {"inv": 1, "n1": 1, "n2": 1},
+    "inv-d-f": {"inv": 1, "n2": 1},
+    "fmaj-f": {"maj": 2, "n1": 1},
+    "maj-b-f": {"maj-b": 1},
+    "p-f": {"p": 1},
+    "rmaj-f": {"maj-b": 2, "p": -1},
+    "nmaj-f": {"maj": 1, "n1": 1, "n2": 1},
+    "dmaj-f": {"maj": 1, "n2": 1},
+}
+
 # shorthand accepted on the command line: bare permutation-style names
 # resolve to the forest statistic of the same flavor
 _FOREST_ALIASES = {"inv-b": "inv-b-f", "inv-d": "inv-d-f", "fmaj": "fmaj-f",

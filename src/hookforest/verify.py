@@ -1,10 +1,13 @@
-"""Brute-force distributions, theorem checks, type-B forest partitions,
-bijections, and counterexample search.
+"""Distributions, theorem checks, type-B forest partitions, bijections,
+and counterexample search.
 
-Every check compares an exhaustively enumerated left-hand side against
+Every check compares an exhaustively computed left-hand side against
 an independently built closed form and reports the outcome as a
-``CheckReport``.  Nothing here samples: the identities are exact, so
-the comparisons are coefficientwise polynomial equality.
+``CheckReport``.  Forest-statistic distributions come from the
+ancestor-chain dynamic program in ``chaindp``; the other left-hand
+sides enumerate labelings, words or partitions.  Nothing here samples:
+the identities are exact, so the comparisons are coefficientwise
+polynomial equality.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from . import formulas, stats
+from . import chaindp, formulas, stats
 from .forest import (Forest, comparable_pairs, decreasing_labeling,
                      enumerate_forests, enumerate_labelings, hook_lengths,
                      labeling_count, linear_extensions)
@@ -76,7 +79,9 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
     """Sum of t^aux(F,w) q^stat(F,w) over the labelings of the given mode.
 
     ``stat`` and ``aux`` are forest statistic ids (with or without the
-    ``-f`` suffix) or callables taking (forest, values).
+    ``-f`` suffix) or callables taking (forest, values).  When both are
+    ids the ancestor-chain dynamic program of ``chaindp`` computes the
+    distribution; a callable is evaluated on every labeling.
     """
     stat_id, stat_fn = stats.resolve_forest_stat(stat)
     aux_fn = None
@@ -86,6 +91,10 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
         aux_id = None
     if mode != "even-signed" and "inv-d-f" in (stat_id, aux_id):
         raise ValueError("inv-d is only defined on even-signed labelings")
+    if not callable(stat) and not callable(aux):
+        return chaindp.term_distribution(
+            forest, stats.FOREST_TERMS[stat_id], mode,
+            stats.FOREST_TERMS[aux_id] if aux_id else None)
     terms: dict[tuple[int, int], int] = {}
     for w in enumerate_labelings(forest, mode):
         key = (aux_fn(forest, w) if aux_fn else 0, stat_fn(forest, w))
@@ -149,7 +158,16 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
         return check_even_odd(forest)
     if theorem_id == "eq-coset-fmaj":
         return check_fmaj_coset_identity(forest)
-    raise KeyError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
+    raise _unknown_theorem(theorem_id)
+
+
+def _unknown_theorem(theorem_id: str) -> KeyError:
+    return KeyError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
+
+
+def _check_max_n(max_n: int) -> None:
+    if max_n < 0:
+        raise ValueError(f"max-n must be nonnegative, got {max_n}")
 
 
 def _check_bw(forest: Forest) -> CheckReport:
@@ -225,8 +243,8 @@ def check_even_odd(forest: Forest) -> CheckReport:
     vanishes at t = -1: its even- and odd-negative slices agree."""
     if forest.n == 0:
         raise ValueError("the even/odd cancellation needs at least one vertex")
-    raw = lambda f, w: stats.inv_forest(f, w) + stats.n2_forest(f, w)
-    dist = distribution(forest, raw, "signed", aux="n1-f")
+    dist = chaindp.term_distribution(forest, {"inv": 1, "n2": 1}, "signed",
+                                     stats.FOREST_TERMS["n1-f"])
     value = dist.eval_t(-1)
     passed = value.is_zero()
     return CheckReport("eq-even-odd", forest.render(), value, BiPoly.zero(), passed,
@@ -312,7 +330,9 @@ def partition_shift(forest: Forest, w, f: Sequence[int]) -> tuple[int, ...]:
         for v in range(u, u + h[u]):
             out[v - 1] -= 1
     # membership guarantees enough room above every descent
-    assert all(v >= 0 for v in out)
+    if any(v < 0 for v in out):
+        raise RuntimeError(f"shifting {tuple(f)} below the type-B descents of {tuple(w)} "
+                           f"left a negative value: {tuple(out)}")
     return tuple(out)
 
 
@@ -516,6 +536,9 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     starts at size 1.  Results come back in canonical order regardless
     of the worker count.
     """
+    if theorem_id not in THEOREM_IDS:
+        raise _unknown_theorem(theorem_id)
+    _check_max_n(max_n)
     reports: list[CheckReport] = []
     if theorem_id in SIZE_LEVEL_IDS:
         for n in range(max_n + 1):
@@ -545,6 +568,9 @@ def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
                           jobs: int = 1) -> Optional[tuple[Forest, BiPoly, BiPoly]]:
     """First forest (size ascending, canonical order) where the two
     statistics have different distributions; None if there is none."""
+    for stat in (stat_a, stat_b):
+        stats.resolve_forest_stat(stat)
+    _check_max_n(max_n)
     for n in range(max_n + 1):
         forests = list(enumerate_forests(n))
         rows = _map_ordered(

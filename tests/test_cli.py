@@ -150,11 +150,26 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     ("linext", "--forest", "(())", "--labeling=1,x"),
     ("linext", "--forest", "(())", "--labeling=1,3"),
     ("check", "--forest", "()", "--theorem", "thm-nope"),
+    ("sweep", "--max-n", "-1", "--theorem", "nope"),
+    ("sweep", "--max-n", "-1", "--theorem", "thm-inv-b"),
+    ("counterexample", "--stat", "nope", "--vs", "inv-b", "--max-n", "-1"),
+    ("counterexample", "--stat", "inv-b", "--vs", "nope", "--max-n", "-1"),
+    ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "-1"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_ids_are_checked_before_sizes(capsys):
+    code, out, err = run(capsys, "sweep", "--max-n", "-1", "--theorem", "nope")
+    assert code == 2 and out == ""
+    assert "unknown theorem id 'nope'" in err
+    code, out, err = run(capsys, "counterexample", "--stat", "nope", "--vs", "inv-b",
+                         "--max-n", "-1")
+    assert code == 2 and out == ""
+    assert "unknown forest statistic 'nope'" in err
 
 
 def test_env_var_sets_default_jobs(monkeypatch):

@@ -2,9 +2,12 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hookforest import formulas, stats, verify
-from hookforest.forest import chain_forest, enumerate_forests, parse_forest
+from hookforest import chaindp, formulas, stats, verify
+from hookforest.forest import (chain_forest, enumerate_forests,
+                               enumerate_labelings, forest_from_parents,
+                               parse_forest)
 from hookforest.qpoly import BiPoly, q_number
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -73,6 +76,15 @@ def test_distribution_theorems_small(theorem):
     for n in range(4):
         for forest in enumerate_forests(n):
             assert verify.check_theorem(forest, theorem).passed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem", list(verify._DIST_CHECKS))
+@pytest.mark.parametrize("n", [6, 7])
+def test_distribution_theorems_exhaustive(n, theorem):
+    for forest in enumerate_forests(n):
+        report = verify.check_theorem(forest, theorem)
+        assert report.passed, report.summary()
 
 
 def test_linext_theorem_small():
@@ -186,3 +198,103 @@ def test_rmaj_distribution_from_majb_substitution():
         for forest in enumerate_forests(n):
             joint = verify.distribution(forest, "maj-b-f", "signed", aux="p-f")
             assert joint.subst_q2_t_invq() == verify.distribution(forest, "rmaj-f", "signed")
+
+
+# ---------------------------------------------------------------------------
+# the chain DP behind string ids against brute force over the callables
+
+def _oracle(forest, stat, mode, aux):
+    return verify.distribution(forest, stats.FOREST_STATS[stat], mode,
+                               aux=stats.FOREST_STATS[aux] if aux else None)
+
+
+def _oracles(forest, mode, pairs):
+    """Brute-force distributions of several (stat, aux) pairs, sharing
+    one pass over the labelings and one call per statistic."""
+    names = {name for pair in pairs for name in pair if name}
+    terms = {pair: {} for pair in pairs}
+    for w in enumerate_labelings(forest, mode):
+        value = {name: stats.FOREST_STATS[name](forest, w) for name in names}
+        for stat, aux in pairs:
+            key = (value[aux] if aux else 0, value[stat])
+            terms[stat, aux][key] = terms[stat, aux].get(key, 0) + 1
+    return {pair: BiPoly(t) for pair, t in terms.items()}
+
+
+def _cases():
+    """Every (stat, mode, aux) with aux in {None, n1-f, p-f} where defined."""
+    for mode in ("ordinary", "signed", "even-signed"):
+        for stat in stats.FOREST_STATS:
+            if stat == "inv-d-f" and mode != "even-signed":
+                continue
+            for aux in (None, "n1-f", "p-f"):
+                yield stat, mode, aux
+
+
+def _assert_dp_matches(forests, cases):
+    for forest in forests:
+        for mode in sorted({mode for _, mode, _ in cases}):
+            pairs = [(stat, aux) for stat, m, aux in cases if m == mode]
+            for (stat, aux), brute in _oracles(forest, mode, pairs).items():
+                assert verify.distribution(forest, stat, mode, aux=aux) == brute, \
+                    (forest, stat, mode, aux)
+
+
+def test_forest_terms_cover_every_forest_stat():
+    assert set(stats.FOREST_TERMS) == set(stats.FOREST_STATS)
+
+
+def test_dp_matches_brute_force_every_case_small():
+    _assert_dp_matches([f for n in range(5) for f in enumerate_forests(n)], list(_cases()))
+
+
+def test_dp_matches_brute_force_theorems_n5():
+    cases = list(verify._DIST_CHECKS.values()) + [
+        ("nmaj-f", "signed", None), ("dmaj-f", "even-signed", None)]
+    _assert_dp_matches(enumerate_forests(5), cases)
+
+
+forests_up_to_6 = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(*[st.integers(0, v - 1) for v in range(1, n + 1)]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(forests_up_to_6, st.sampled_from(list(_cases())))
+def test_dp_matches_brute_force_drawn_forests(parents, case):
+    forest = forest_from_parents(list(parents))
+    stat, mode, aux = case
+    assert verify.distribution(forest, stat, mode, aux=aux) == _oracle(forest, stat, mode, aux)
+
+
+def test_even_odd_terms_match_brute_force():
+    # check_even_odd's (n1, inv + n2) over all signed labelings
+    raw = lambda f, w: stats.inv_forest(f, w) + stats.n2_forest(f, w)
+    for n in range(1, 5):
+        for forest in enumerate_forests(n):
+            dp = chaindp.term_distribution(forest, {"inv": 1, "n2": 1}, "signed",
+                                           stats.FOREST_TERMS["n1-f"])
+            assert dp == verify.distribution(forest, raw, "signed", aux=stats.n1_forest)
+            assert verify.check_even_odd(forest).passed
+
+
+def test_validation_runs_before_any_loop():
+    with pytest.raises(KeyError):
+        verify.sweep("nope", -1)
+    with pytest.raises(ValueError):
+        verify.sweep("thm-inv-b", -1)
+    with pytest.raises(KeyError):
+        verify.counterexample_search("nope", "inv-b-f", "signed", -1)
+    with pytest.raises(KeyError):
+        verify.counterexample_search("inv-b-f", "nope", "signed", -1)
+    with pytest.raises(ValueError):
+        verify.counterexample_search("inv-b-f", "inv-b-f", "signed", -1)
+
+
+def test_partition_shift_raises_on_negative_image(monkeypatch):
+    dot = parse_forest("()")
+    assert verify.partition_shift(dot, (-1,), (0,)) == (0,)
+    real = stats.descents_b_forest
+    monkeypatch.setattr(stats, "descents_b_forest",
+                        lambda forest, w: tuple(sorted(set(real(forest, w)) | {1})))
+    with pytest.raises(RuntimeError):
+        verify.partition_shift(dot, (-1,), (0,))
