@@ -1,0 +1,74 @@
+"""Replay a fixed corpus of ``--format records`` CLI calls.
+
+``golden/records_corpus.jsonl`` holds one line per stdout record:
+the argv of the call, its exit code and the record.  Replaying each
+call in-process must print those records byte for byte.
+
+Regenerate the file only when an output change is intended:
+``PYTHONPATH=src python tests/test_records_corpus.py``.
+"""
+
+import io
+import json
+import pathlib
+from contextlib import redirect_stdout
+
+from hookforest import cli
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "records_corpus.jsonl"
+
+THEOREM_IDS = ("thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
+               "thm-bivariate-inv", "thm-bivariate-majB", "thm-le1",
+               "lem-partition-gf", "eq-reiner", "len-b", "len-d",
+               "eq-even-odd", "eq-coset-fmaj")
+LABELING_FREE_IDS = ("thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
+                     "thm-bivariate-inv", "thm-bivariate-majB", "eq-reiner",
+                     "len-b", "len-d")
+
+ARGVS = (
+    [["sweep", "--max-n", "3", "--degree", "6", "--theorem", t, "--format", "records"]
+     for t in THEOREM_IDS]
+    + [["rhs", "--forest", f, "--theorem", t, "--format", "records"]
+       for t in LABELING_FREE_IDS for f in ("(()())", "()()")]
+    + [["bijections", "--max-n", "3", "--format", "records"],
+       ["linext", "--forest", "(()())()", "--labeling=3,-1,4,-2", "--format", "records"],
+       ["partitions", "--forest", "(())()", "--labeling=-2,3,1", "--degree", "6",
+        "--format", "records"],
+       ["dist", "--forest", "((())())", "--stat", "rmaj", "--aux", "n1",
+        "--format", "records"]]
+)
+
+
+def replay(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def load():
+    calls = {}
+    for line in CORPUS.read_text().splitlines():
+        entry = json.loads(line)
+        calls.setdefault(tuple(entry["argv"]), []).append(entry)
+    return calls
+
+
+def test_corpus_covers_every_call():
+    assert list(load()) == [tuple(a) for a in ARGVS]
+
+
+def test_records_replay_byte_identical():
+    for argv, entries in load().items():
+        code, out = replay(argv)
+        assert {e["exit"] for e in entries} == {code}, argv
+        assert out.splitlines() == [json.dumps(e["record"]) for e in entries], argv
+
+
+if __name__ == "__main__":
+    with CORPUS.open("w") as fh:
+        for argv in ARGVS:
+            code, out = replay(argv)
+            for line in out.splitlines():
+                fh.write(json.dumps({"argv": argv, "exit": code,
+                                     "record": json.loads(line)}) + "\n")
