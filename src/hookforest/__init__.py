@@ -13,7 +13,7 @@ from .forest import (MODES, Forest, ForestParseError, chain_forest,
                      decreasing_labeling, enumerate_forests,
                      enumerate_labelings, forest_from_parents, hook_lengths,
                      is_strict_ancestor, linear_extensions, parse_forest,
-                     parse_forest_input, render_forest)
+                     parse_forest_input)
 from .qpoly import BiPoly, Series, geometric_series, q_factorial, q_number
 from .verify import (CheckReport, check_theorem, counterexample_search,
                      distribution, sweep)
@@ -22,8 +22,8 @@ __all__ = [
     "MODES", "Forest", "ForestParseError", "chain_forest",
     "decreasing_labeling", "enumerate_forests", "enumerate_labelings",
     "forest_from_parents", "hook_lengths", "is_strict_ancestor",
-    "linear_extensions", "parse_forest", "parse_forest_input",
-    "render_forest", "BiPoly", "Series", "geometric_series", "q_factorial",
-    "q_number", "CheckReport", "check_theorem", "counterexample_search",
-    "distribution", "sweep", "formulas", "stats", "verify",
+    "linear_extensions", "parse_forest", "parse_forest_input", "BiPoly",
+    "Series", "geometric_series", "q_factorial", "q_number", "CheckReport",
+    "check_theorem", "counterexample_search", "distribution", "sweep",
+    "formulas", "stats", "verify",
 ]

@@ -72,11 +72,8 @@ def cmd_dist(args) -> int:
 
 def cmd_rhs(args) -> int:
     forest = _forest_arg(args)
-    if args.theorem in formulas.FOREST_RHS:
-        poly = formulas.FOREST_RHS[args.theorem](forest)
-    elif args.theorem in formulas.SIZE_RHS:
-        poly = formulas.SIZE_RHS[args.theorem](forest.n)
-    else:
+    poly = verify.closed_form(args.theorem, forest)
+    if poly is None:
         raise ValueError(f"no labeling-free closed form for {args.theorem!r}; "
                          "use the linext or partitions subcommand")
     _print_poly(poly, args.format, forest=forest.render(), theorem=args.theorem)
@@ -162,6 +159,7 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_bijections(args) -> int:
+    verify._check_max_n(args.max_n)
     reports = []
     for n in range(args.max_n + 1):
         reports.append(verify.check_psi(n))
@@ -228,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rhs", help="closed-form polynomial of a theorem")
     p.add_argument("--forest", required=True)
     p.add_argument("--theorem", required=True,
-                   help=f"one of: {', '.join(sorted(formulas.FOREST_RHS) + sorted(formulas.SIZE_RHS))}")
+                   help=f"one of: {', '.join(t for t, row in verify.THEOREMS.items() if row.rhs)}")
     add_common(p)
     p.set_defaults(func=cmd_rhs)
 
     p = sub.add_parser("check", help="verify one identity on one forest")
     p.add_argument("--forest", required=True)
     p.add_argument("--theorem", required=True,
-                   help=f"one of: {', '.join(verify.THEOREM_IDS)}")
+                   help=f"one of: {', '.join(verify.THEOREMS)}")
     p.add_argument("--degree", type=int, default=10,
                    help="truncation degree for series-based checks")
     add_common(p)

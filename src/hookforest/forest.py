@@ -120,10 +120,6 @@ def parse_forest(text: str) -> Forest:
                   children=tuple(tuple(c) for c in children))
 
 
-def render_forest(forest: Forest) -> str:
-    return forest.render()
-
-
 def forest_from_parents(parents: Sequence[int]) -> Forest:
     """Build a forest from a parent array (0 marks a root).
 

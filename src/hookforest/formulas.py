@@ -41,16 +41,6 @@ def rhs_inv_b(forest: Forest) -> BiPoly:
     return out
 
 
-def rhs_fmaj(forest: Forest) -> BiPoly:
-    """Same polynomial as rhs_inv_b; separate entry point for report labeling."""
-    return rhs_inv_b(forest)
-
-
-def rhs_rmaj(forest: Forest) -> BiPoly:
-    """Same polynomial as rhs_inv_b; separate entry point for report labeling."""
-    return rhs_inv_b(forest)
-
-
 def rhs_inv_d(forest: Forest) -> BiPoly:
     """Even-signed distribution of inv-d: (n!/(2 prod h)) * prod (1+q^(h-1))[h].
 
@@ -109,11 +99,6 @@ def rhs_reiner(n: int) -> BiPoly:
     return BiPoly({(0, 0): 1, (1, 1): 1}) ** n * q_factorial(n)
 
 
-def rhs_majb_perm(n: int) -> BiPoly:
-    """Same polynomial as rhs_reiner; kept as the (p, maj-b) entry point."""
-    return rhs_reiner(n)
-
-
 def rhs_len_b(n: int) -> BiPoly:
     """[2][4]...[2n], the length generating function of signed permutations."""
     out = BiPoly.one()
@@ -130,29 +115,3 @@ def rhs_len_d(n: int) -> BiPoly:
     for k in range(1, n):
         out = out * q_number(2 * k)
     return out * q_number(n)
-
-
-# closed forms keyed by theorem id; the first group takes a forest, the
-# second only a size (the check machinery passes forest.n through)
-FOREST_RHS = {
-    "thm-bw": rhs_bw,
-    "thm-inv-b": rhs_inv_b,
-    "thm-inv-d": rhs_inv_d,
-    "thm-fmaj": rhs_fmaj,
-    "thm-rmaj": rhs_rmaj,
-    "thm-bivariate-inv": rhs_bivariate_inv,
-    "thm-bivariate-majB": rhs_bivariate_majb,
-}
-
-SIZE_RHS = {
-    "eq-reiner": rhs_reiner,
-    "len-b": rhs_len_b,
-    "len-d": rhs_len_d,
-}
-
-# closed forms that additionally need a labeling (and, for the series,
-# a truncation degree)
-LABELED_RHS = {
-    "thm-le1": rhs_linext,
-    "lem-partition-gf": rhs_partition_gf,
-}

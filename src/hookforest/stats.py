@@ -280,22 +280,13 @@ FOREST_TERMS = {
     "dmaj-f": {"maj": 1, "n2": 1},
 }
 
-# shorthand accepted on the command line: bare permutation-style names
-# resolve to the forest statistic of the same flavor
-_FOREST_ALIASES = {"inv-b": "inv-b-f", "inv-d": "inv-d-f", "fmaj": "fmaj-f",
-                   "rmaj": "rmaj-f", "nmaj": "nmaj-f", "dmaj": "dmaj-f",
-                   "inv": "inv-f", "maj": "maj-f", "n1": "n1-f", "n2": "n2-f",
-                   "maj-b": "maj-b-f", "p": "p-f"}
-
-
 def resolve_forest_stat(stat):
     """Map a forest statistic id (or callable) to (canonical id, function)."""
     if callable(stat):
         return getattr(stat, "__name__", "custom"), stat
-    if stat in FOREST_STATS:
-        return stat, FOREST_STATS[stat]
-    alias = _FOREST_ALIASES.get(stat)
-    if alias:
-        return alias, FOREST_STATS[alias]
+    # a bare permutation-style name means the forest statistic of that flavor
+    for name in (stat, f"{stat}-f"):
+        if name in FOREST_STATS:
+            return name, FOREST_STATS[name]
     raise KeyError(f"unknown forest statistic {stat!r}; known ids: "
                    f"{', '.join(sorted(FOREST_STATS))}")

@@ -13,16 +13,15 @@ polynomial equality.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
 from .forest import (Forest, comparable_pairs, decreasing_labeling,
                      enumerate_forests, enumerate_labelings, hook_lengths,
                      labeling_count, linear_extensions)
-from .qpoly import BiPoly, Series, geometric_series
+from .qpoly import BiPoly, Series
 
 
 @dataclass
@@ -66,7 +65,9 @@ class CheckReport:
         return line
 
 
-def _first_mismatch(lhs: BiPoly, rhs: BiPoly) -> str:
+def _first_mismatch(lhs, rhs) -> str:
+    if isinstance(lhs, Series):
+        lhs, rhs = lhs.poly, rhs.poly
     keys = sorted(set(dict(lhs.items())) | set(dict(rhs.items())))
     for a, b in keys:
         if lhs.coeff(a, b) != rhs.coeff(a, b):
@@ -102,67 +103,77 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
     return BiPoly(terms)
 
 
-def _word_distribution(words, stat_fn, aux_fn=None) -> BiPoly:
-    terms: dict[tuple[int, int], int] = {}
+def _word_distributions(words, pairs) -> list[BiPoly]:
+    """One distribution per (stat, aux) function pair, in one pass over the words."""
+    tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
     for word in words:
-        key = (aux_fn(word) if aux_fn else 0, stat_fn(word))
-        terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+        for tally, (stat_fn, aux_fn) in zip(tallies, pairs):
+            key = (aux_fn(word) if aux_fn else 0, stat_fn(word))
+            tally[key] = tally.get(key, 0) + 1
+    return [BiPoly(tally) for tally in tallies]
 
 
 # ---------------------------------------------------------------------------
-# theorem checks
+# the theorem registry
 
-_DIST_CHECKS = {
-    "thm-inv-b": ("inv-b-f", "signed", None),
-    "thm-fmaj": ("fmaj-f", "signed", None),
-    "thm-rmaj": ("rmaj-f", "signed", None),
-    "thm-inv-d": ("inv-d-f", "even-signed", None),
-    "thm-bivariate-inv": ("inv-b-f", "signed", "n1-f"),
-    "thm-bivariate-majB": ("maj-b-f", "signed", "p-f"),
+@dataclass(frozen=True)
+class Theorem:
+    """One identity: what it is checked on, its closed form, its left-hand side.
+
+    ``scope`` is "forest" (checked on a forest), "size" (on the signed
+    words of size forest.n) or "labeled" (on every signed labeling of a
+    forest, summed).  ``rhs`` names the labeling-free closed form in
+    ``formulas``, taking the forest or the size, and is None when there
+    is none.  ``lhs`` is either a tuple of (stat, aux) sides, each of
+    whose distributions over the labelings or words of ``mode`` must
+    equal the closed form, or a function: (forest, labeling, degree) ->
+    (lhs, rhs) for the labeled scope, forest -> CheckReport otherwise.
+    A sweep checks sizes ``start`` and up.
+    """
+
+    scope: str
+    rhs: Optional[str]
+    lhs: Union[tuple[tuple[str, Optional[str]], ...], Callable]
+    mode: str = "signed"
+    start: int = 0
+
+
+def _linext_pair(forest: Forest, w, degree: int) -> tuple[BiPoly, BiPoly]:
+    (lhs,) = _word_distributions(linear_extensions(forest, w), [(stats.maj_b, None)])
+    return lhs, formulas.rhs_linext(forest, w)
+
+
+def _partition_pair(forest: Forest, w, degree: int) -> tuple[Series, Series]:
+    return (partition_lhs_series(forest, w, degree),
+            formulas.rhs_partition_gf(forest, w, degree))
+
+
+# Functions are reached through names looked up at call time (the rhs
+# names, and the lambdas below), so wrappers installed on the modules,
+# by a tracer or a test's monkeypatch, see every call.
+THEOREMS = {
+    "thm-bw": Theorem("forest", "rhs_bw", (("inv", None), ("maj", None)), mode="ordinary"),
+    "thm-inv-b": Theorem("forest", "rhs_inv_b", (("inv-b", None),)),
+    "thm-inv-d": Theorem("forest", "rhs_inv_d", (("inv-d", None),), mode="even-signed"),
+    "thm-fmaj": Theorem("forest", "rhs_inv_b", (("fmaj", None),)),
+    "thm-rmaj": Theorem("forest", "rhs_inv_b", (("rmaj", None),)),
+    "thm-bivariate-inv": Theorem("forest", "rhs_bivariate_inv", (("inv-b", "n1"),)),
+    "thm-bivariate-majB": Theorem("forest", "rhs_bivariate_majb", (("maj-b", "p"),)),
+    "thm-le1": Theorem("labeled", None, _linext_pair),
+    "lem-partition-gf": Theorem("labeled", None, _partition_pair),
+    "eq-reiner": Theorem("size", "rhs_reiner", (("maj-r", "n1"), ("maj-b", "p"))),
+    "len-b": Theorem("size", "rhs_len_b", (("len-b", None),)),
+    "len-d": Theorem("size", "rhs_len_d", (("len-d", None),), mode="even-signed"),
+    "eq-even-odd": Theorem("forest", None, lambda forest: check_even_odd(forest), start=1),
+    "eq-coset-fmaj": Theorem("forest", None, lambda forest: check_fmaj_coset_identity(forest)),
 }
 
-SIZE_LEVEL_IDS = ("eq-reiner", "len-b", "len-d")
 
-THEOREM_IDS = ("thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
-               "thm-bivariate-inv", "thm-bivariate-majB", "thm-le1",
-               "lem-partition-gf", "eq-reiner", "len-b", "len-d",
-               "eq-even-odd", "eq-coset-fmaj")
-
-
-def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckReport:
-    """Verify one identity on the given forest (size-level ids use forest.n).
-
-    ``degree`` is the truncation level for the series-based checks.
-    """
-    if theorem_id == "thm-bw":
-        return _check_bw(forest)
-    if theorem_id in _DIST_CHECKS:
-        stat, mode, aux = _DIST_CHECKS[theorem_id]
-        lhs = distribution(forest, stat, mode, aux=aux)
-        rhs = formulas.FOREST_RHS[theorem_id](forest)
-        passed = lhs == rhs
-        return CheckReport(theorem_id, forest.render(), lhs, rhs, passed,
-                           None if passed else _first_mismatch(lhs, rhs))
-    if theorem_id == "thm-le1":
-        return _check_linext(forest)
-    if theorem_id == "lem-partition-gf":
-        return _check_partition_gf(forest, degree)
-    if theorem_id == "eq-reiner":
-        return _check_reiner(forest.n)
-    if theorem_id == "len-b":
-        return _check_length_gf(forest.n, "len-b")
-    if theorem_id == "len-d":
-        return _check_length_gf(forest.n, "len-d")
-    if theorem_id == "eq-even-odd":
-        return check_even_odd(forest)
-    if theorem_id == "eq-coset-fmaj":
-        return check_fmaj_coset_identity(forest)
-    raise _unknown_theorem(theorem_id)
-
-
-def _unknown_theorem(theorem_id: str) -> KeyError:
-    return KeyError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}")
+def _theorem(theorem_id: str) -> Theorem:
+    row = THEOREMS.get(theorem_id)
+    if row is None:
+        raise KeyError(f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREMS)}")
+    return row
 
 
 def _check_max_n(max_n: int) -> None:
@@ -170,72 +181,63 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"max-n must be nonnegative, got {max_n}")
 
 
-def _check_bw(forest: Forest) -> CheckReport:
-    rhs = formulas.rhs_bw(forest)
-    by_inv = distribution(forest, "inv-f", "ordinary")
-    by_maj = distribution(forest, "maj-f", "ordinary")
-    if by_inv != rhs:
-        return CheckReport("thm-bw", forest.render(), by_inv, rhs, False,
-                           "inv side: " + _first_mismatch(by_inv, rhs))
-    if by_maj != rhs:
-        return CheckReport("thm-bw", forest.render(), by_maj, rhs, False,
-                           "maj side: " + _first_mismatch(by_maj, rhs))
-    return CheckReport("thm-bw", forest.render(), by_inv, rhs, True)
+def closed_form(theorem_id: str, forest: Forest) -> Optional[BiPoly]:
+    """The theorem's labeling-free closed form on the forest (size-level
+    ids use forest.n), or None when it has none."""
+    row = _theorem(theorem_id)
+    if row.rhs is None:
+        return None
+    return getattr(formulas, row.rhs)(forest.n if row.scope == "size" else forest)
 
 
-def _check_linext(forest: Forest) -> CheckReport:
-    total_lhs = BiPoly.zero()
-    total_rhs = BiPoly.zero()
-    for w in enumerate_labelings(forest, "signed"):
-        lhs = _word_distribution(linear_extensions(forest, w), stats.maj_b)
-        rhs = formulas.rhs_linext(forest, w)
+def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckReport:
+    """Verify one identity on the given forest (size-level ids use forest.n).
+
+    ``degree`` is the truncation level for the series-based checks.
+    """
+    row = _theorem(theorem_id)
+    if row.scope == "size":
+        return _check_size(theorem_id, row, forest.n)
+    if row.scope == "labeled":
+        return _check_labeled(theorem_id, row, forest, degree)
+    if callable(row.lhs):
+        return row.lhs(forest)
+    sides = (distribution(forest, stat, row.mode, aux=aux) for stat, aux in row.lhs)
+    return _check_sides(theorem_id, row, forest.render(),
+                        getattr(formulas, row.rhs)(forest), sides)
+
+
+def _check_size(theorem_id: str, row: Theorem, n: int) -> CheckReport:
+    words = (stats.even_signed_permutations(n) if row.mode == "even-signed"
+             else stats.signed_permutations(n))
+    perm = stats.PERM_STATS
+    sides = _word_distributions(words, [(perm[stat], perm[aux] if aux else None)
+                                        for stat, aux in row.lhs])
+    return _check_sides(theorem_id, row, f"n={n}", getattr(formulas, row.rhs)(n), sides)
+
+
+def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
+                 sides) -> CheckReport:
+    """Compare each side's distribution with the closed form; with several
+    sides the witness names the failing one."""
+    for (stat, aux), lhs in zip(row.lhs, sides):
         if lhs != rhs:
-            return CheckReport("thm-le1", forest.render(), lhs, rhs, False,
+            name = stat if aux is None else f"({aux}, {stat})"
+            prefix = f"{name} side: " if len(row.lhs) > 1 else ""
+            return CheckReport(theorem_id, label, lhs, rhs, False,
+                               prefix + _first_mismatch(lhs, rhs))
+    return CheckReport(theorem_id, label, lhs, rhs, True)
+
+
+def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
+    totals = None
+    for w in enumerate_labelings(forest, row.mode):
+        lhs, rhs = row.lhs(forest, w, degree)
+        if lhs != rhs:
+            return CheckReport(theorem_id, forest.render(), lhs, rhs, False,
                                f"labeling {w}: {_first_mismatch(lhs, rhs)}")
-        total_lhs = total_lhs + lhs
-        total_rhs = total_rhs + rhs
-    return CheckReport("thm-le1", forest.render(), total_lhs, total_rhs, True)
-
-
-def _check_partition_gf(forest: Forest, degree: int) -> CheckReport:
-    total_lhs = Series(BiPoly.zero(), degree)
-    total_rhs = Series(BiPoly.zero(), degree)
-    for w in enumerate_labelings(forest, "signed"):
-        lhs = partition_lhs_series(forest, w, degree)
-        rhs = formulas.rhs_partition_gf(forest, w, degree)
-        if lhs != rhs:
-            return CheckReport("lem-partition-gf", forest.render(), lhs, rhs, False,
-                               f"labeling {w}: {_first_mismatch(lhs.poly, rhs.poly)}")
-        total_lhs = total_lhs + lhs
-        total_rhs = total_rhs + rhs
-    return CheckReport("lem-partition-gf", forest.render(), total_lhs, total_rhs, True)
-
-
-def _check_reiner(n: int) -> CheckReport:
-    rhs = formulas.rhs_reiner(n)
-    words = list(stats.signed_permutations(n))
-    by_majr = _word_distribution(words, stats.maj_r, stats.n1)
-    by_majb = _word_distribution(words, stats.maj_b, stats.p)
-    label = f"n={n}"
-    if by_majr != rhs:
-        return CheckReport("eq-reiner", label, by_majr, rhs, False,
-                           "(n1, maj-r) side: " + _first_mismatch(by_majr, rhs))
-    if by_majb != rhs:
-        return CheckReport("eq-reiner", label, by_majb, rhs, False,
-                           "(p, maj-b) side: " + _first_mismatch(by_majb, rhs))
-    return CheckReport("eq-reiner", label, by_majb, rhs, True)
-
-
-def _check_length_gf(n: int, which: str) -> CheckReport:
-    if which == "len-b":
-        lhs = _word_distribution(stats.signed_permutations(n), stats.len_b)
-        rhs = formulas.rhs_len_b(n)
-    else:
-        lhs = _word_distribution(stats.even_signed_permutations(n), stats.len_d)
-        rhs = formulas.rhs_len_d(n)
-    passed = lhs == rhs
-    return CheckReport(which, f"n={n}", lhs, rhs, passed,
-                       None if passed else _first_mismatch(lhs, rhs))
+        totals = (lhs, rhs) if totals is None else (totals[0] + lhs, totals[1] + rhs)
+    return CheckReport(theorem_id, forest.render(), *totals, True)
 
 
 def check_even_odd(forest: Forest) -> CheckReport:
@@ -426,14 +428,7 @@ def check_psi(n: int) -> CheckReport:
         total += 1
     if len(seen) != total:
         return CheckReport("psi", label, None, None, False, "psi is not injective")
-    rhs = formulas.rhs_reiner(n)
-    words = list(stats.signed_permutations(n))
-    by_majr = _word_distribution(words, stats.maj_r, stats.n1)
-    by_majb = _word_distribution(words, stats.maj_b, stats.p)
-    if by_majr != rhs or by_majb != rhs:
-        return CheckReport("psi", label, by_majr, rhs, False,
-                           _first_mismatch(by_majr if by_majr != rhs else by_majb, rhs))
-    return CheckReport("psi", label, by_majb, rhs, True)
+    return replace(_check_size("eq-reiner", THEOREMS["eq-reiner"], n), theorem="psi")
 
 
 def mirror_labeling(forest: Forest, w) -> tuple[int, ...]:
@@ -532,36 +527,24 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
           fail_fast: bool = False) -> list[CheckReport]:
     """Check one identity over every forest of size 0..max_n.
 
-    Size-level identities run once per size; the even/odd cancellation
-    starts at size 1.  Results come back in canonical order regardless
+    Size-level identities run once per size, and a theorem's row may set
+    a larger first size.  Results come back in canonical order regardless
     of the worker count.
     """
-    if theorem_id not in THEOREM_IDS:
-        raise _unknown_theorem(theorem_id)
+    row = _theorem(theorem_id)
     _check_max_n(max_n)
     reports: list[CheckReport] = []
-    if theorem_id in SIZE_LEVEL_IDS:
-        for n in range(max_n + 1):
-            reports.append(_size_check(theorem_id, n))
-            if fail_fast and not reports[-1].passed:
-                return reports
-        return reports
-    start = 1 if theorem_id == "eq-even-odd" else 0
-    for n in range(start, max_n + 1):
-        forests = list(enumerate_forests(n))
-        batch = _map_ordered(lambda f: check_theorem(f, theorem_id, degree=degree),
-                             forests, jobs)
+    for n in range(row.start, max_n + 1):
+        if row.scope == "size":
+            batch = [_check_size(theorem_id, row, n)]
+        else:
+            batch = _map_ordered(lambda f: check_theorem(f, theorem_id, degree=degree),
+                                 list(enumerate_forests(n)), jobs)
         for report in batch:
             reports.append(report)
             if fail_fast and not report.passed:
                 return reports
     return reports
-
-
-def _size_check(theorem_id: str, n: int) -> CheckReport:
-    if theorem_id == "eq-reiner":
-        return _check_reiner(n)
-    return _check_length_gf(n, theorem_id)
 
 
 def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from hookforest import stats, verify
 from hookforest.forest import (chain_forest, enumerate_forests,
                                enumerate_labelings, parse_forest)
+from hookforest.qpoly import BiPoly
 
 
 def test_psi_examples():
@@ -29,6 +30,14 @@ def test_psi_check_reports():
     for n in range(5):
         report = verify.check_psi(n)
         assert report.passed, report.summary()
+
+
+def test_psi_failure_names_the_failing_side(monkeypatch):
+    # check_psi reuses the eq-reiner check, witness prefix included
+    monkeypatch.setattr(verify.formulas, "rhs_reiner", lambda n: BiPoly.one())
+    report = verify.check_psi(2)
+    assert report.theorem == "psi" and not report.passed
+    assert report.witness.startswith("(n1, maj-r) side: coefficient")
 
 
 signed_words = st.integers(0, 8).flatmap(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hookforest import cli
+from hookforest import cli, verify
 from hookforest.qpoly import BiPoly
 
 
@@ -49,6 +49,22 @@ def test_rhs_needs_labeling_free_theorem(capsys):
     code, _, err = run(capsys, "rhs", "--forest", "()", "--theorem", "thm-le1")
     assert code == 2
     assert "linext" in err
+
+
+def test_rhs_unknown_theorem(capsys):
+    code, out, err = run(capsys, "rhs", "--forest", "()", "--theorem", "nope")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown theorem id 'nope'; known ids: thm-bw, thm-inv-b,")
+    assert "linext" not in err
+
+
+def test_help_strings_list_the_registry_ids():
+    sub = cli.build_parser()._subparsers._group_actions[0].choices
+    helps = {name: next(a.help for a in sub[name]._actions if a.dest == "theorem")
+             for name in ("check", "rhs")}
+    assert helps["check"] == "one of: " + ", ".join(verify.THEOREMS)
+    assert helps["rhs"] == "one of: " + ", ".join(
+        t for t, row in verify.THEOREMS.items() if row.rhs is not None)
 
 
 def test_check_pass_and_report(capsys):
@@ -155,6 +171,7 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     ("counterexample", "--stat", "nope", "--vs", "inv-b", "--max-n", "-1"),
     ("counterexample", "--stat", "inv-b", "--vs", "nope", "--max-n", "-1"),
     ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "-1"),
+    ("bijections", "--max-n", "-1"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -1,6 +1,6 @@
 import pytest
 
-from hookforest import formulas
+from hookforest import formulas, verify
 from hookforest.forest import (chain_forest, enumerate_forests,
                                enumerate_labelings, labeling_count,
                                parse_forest)
@@ -40,10 +40,12 @@ def test_rhs_inv_b():
 
 
 def test_rhs_fmaj_and_rmaj_share_the_polynomial():
+    for theorem in ("thm-fmaj", "thm-rmaj"):
+        assert verify.THEOREMS[theorem].rhs == "rhs_inv_b"
     for n in range(5):
         for f in enumerate_forests(n):
-            assert formulas.rhs_fmaj(f) == formulas.rhs_inv_b(f)
-            assert formulas.rhs_rmaj(f) == formulas.rhs_inv_b(f)
+            assert verify.closed_form("thm-fmaj", f) == formulas.rhs_inv_b(f)
+            assert verify.closed_form("thm-rmaj", f) == formulas.rhs_inv_b(f)
 
 
 def test_rhs_inv_d():
@@ -76,7 +78,7 @@ def test_rhs_bivariate_majb():
     for n in range(5):
         for f in enumerate_forests(n):
             mapped = formulas.rhs_bivariate_majb(f).subst_q2_t_invq()
-            assert mapped == formulas.rhs_rmaj(f)
+            assert mapped == verify.closed_form("thm-rmaj", f)
 
 
 def test_rhs_linext():
@@ -104,7 +106,10 @@ def test_rhs_reiner():
     assert formulas.rhs_reiner(0) == BiPoly.one()
     assert formulas.rhs_reiner(1) == one_tq
     assert formulas.rhs_reiner(2) == one_tq ** 2 * q_number(2)
-    assert formulas.rhs_majb_perm(3) == formulas.rhs_reiner(3)
+    # both sides of the Reiner row, (p, maj-b) included, meet this closed form
+    row = verify.THEOREMS["eq-reiner"]
+    assert row.rhs == "rhs_reiner" and ("maj-b", "p") in row.lhs
+    assert verify.closed_form("eq-reiner", chain_forest(3)) == formulas.rhs_reiner(3)
 
 
 def test_rhs_length_generating_functions():
@@ -141,9 +146,19 @@ def test_closed_forms_count_labelings():
 
 
 def test_registry_contents():
-    assert set(formulas.FOREST_RHS) == {
+    assert list(verify.THEOREMS) == [
         "thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
-        "thm-bivariate-inv", "thm-bivariate-majB"}
-    assert set(formulas.SIZE_RHS) == {"eq-reiner", "len-b", "len-d"}
-    assert set(formulas.LABELED_RHS) == {"thm-le1", "lem-partition-gf"}
-    assert formulas.LABELED_RHS["thm-le1"] is formulas.rhs_linext
+        "thm-bivariate-inv", "thm-bivariate-majB", "thm-le1",
+        "lem-partition-gf", "eq-reiner", "len-b", "len-d",
+        "eq-even-odd", "eq-coset-fmaj"]
+    scope = {t: row.scope for t, row in verify.THEOREMS.items()}
+    assert {t for t, s in scope.items() if s == "size"} == {"eq-reiner", "len-b", "len-d"}
+    assert {t for t, s in scope.items() if s == "labeled"} == {"thm-le1", "lem-partition-gf"}
+    labeling_free = {t: row.rhs for t, row in verify.THEOREMS.items() if row.rhs}
+    assert set(labeling_free) == {
+        "thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
+        "thm-bivariate-inv", "thm-bivariate-majB", "eq-reiner", "len-b", "len-d"}
+    assert all(callable(getattr(formulas, name)) for name in labeling_free.values())
+    # the per-labeling closed form of thm-le1 is rhs_linext
+    star, w = parse_forest("(()())"), (2, -3, 1)
+    assert verify.THEOREMS["thm-le1"].lhs(star, w, 0)[1] == formulas.rhs_linext(star, w)

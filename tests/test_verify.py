@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -78,8 +79,12 @@ def test_distribution_theorems_small(theorem):
             assert verify.check_theorem(forest, theorem).passed
 
 
+DIST_THEOREMS = [t for t, row in verify.THEOREMS.items()
+                 if row.scope == "forest" and row.rhs]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("theorem", list(verify._DIST_CHECKS))
+@pytest.mark.parametrize("theorem", DIST_THEOREMS)
 @pytest.mark.parametrize("n", [6, 7])
 def test_distribution_theorems_exhaustive(n, theorem):
     for forest in enumerate_forests(n):
@@ -147,9 +152,8 @@ def test_sweep_size_level_and_even_odd_start():
 
 
 def test_sweep_fail_fast_on_engineered_failure(monkeypatch):
-    bogus = dict(verify._DIST_CHECKS)
-    bogus["thm-inv-b"] = ("nmaj-f", "signed", None)
-    monkeypatch.setitem(verify._DIST_CHECKS, "thm-inv-b", bogus["thm-inv-b"])
+    bogus = dataclasses.replace(verify.THEOREMS["thm-inv-b"], lhs=(("nmaj-f", None),))
+    monkeypatch.setitem(verify.THEOREMS, "thm-inv-b", bogus)
     reports = verify.sweep("thm-inv-b", 5, fail_fast=True)
     assert not reports[-1].passed
     assert all(r.passed for r in reports[:-1])
@@ -249,8 +253,10 @@ def test_dp_matches_brute_force_every_case_small():
 
 
 def test_dp_matches_brute_force_theorems_n5():
-    cases = list(verify._DIST_CHECKS.values()) + [
-        ("nmaj-f", "signed", None), ("dmaj-f", "even-signed", None)]
+    cases = [(stats.resolve_forest_stat(stat)[0], verify.THEOREMS[t].mode,
+              aux and stats.resolve_forest_stat(aux)[0])
+             for t in DIST_THEOREMS for stat, aux in verify.THEOREMS[t].lhs]
+    cases += [("nmaj-f", "signed", None), ("dmaj-f", "even-signed", None)]
     _assert_dp_matches(enumerate_forests(5), cases)
 
 
