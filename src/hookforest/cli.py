@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import formulas, stats, verify
-from .forest import (Forest, ForestParseError, enumerate_forests,
+from .forest import (MODES, Forest, ForestParseError, enumerate_forests,
                      linear_extensions, parse_forest_input, parse_labeling,
                      validate_labeling)
 from .qpoly import BiPoly, Series
@@ -74,6 +74,8 @@ def cmd_rhs(args) -> int:
     forest = _forest_arg(args)
     poly = verify.closed_form(args.theorem, forest)
     if poly is None:
+        if verify.THEOREMS[args.theorem].scope != "labeled":
+            raise ValueError(f"{args.theorem!r} has no closed form")
         raise ValueError(f"no labeling-free closed form for {args.theorem!r}; "
                          "use the linext or partitions subcommand")
     _print_poly(poly, args.format, forest=forest.render(), theorem=args.theorem)
@@ -217,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="distribution of a statistic over all labelings")
     p.add_argument("--forest", required=True)
     p.add_argument("--stat", required=True)
-    p.add_argument("--mode", choices=("ordinary", "signed", "even-signed"),
-                   default="signed")
+    p.add_argument("--mode", choices=MODES, default="signed")
     p.add_argument("--aux", default=None, help="statistic tracked in the t variable")
     add_common(p)
     p.set_defaults(func=cmd_dist)
@@ -271,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for a forest separating two statistics")
     p.add_argument("--stat", required=True)
     p.add_argument("--vs", required=True)
-    p.add_argument("--mode", choices=("ordinary", "signed", "even-signed"),
-                   default="signed")
+    p.add_argument("--mode", choices=MODES, default="signed")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     add_common(p)

@@ -70,9 +70,6 @@ class Forest:
     def roots(self) -> tuple[int, ...]:
         return self.children[0]
 
-    def is_root(self, v: int) -> bool:
-        return self.parent[v] == 0
-
     def render(self) -> str:
         """Balanced-paren encoding; inverse of parse_forest."""
         out = []
@@ -131,7 +128,9 @@ def forest_from_parents(parents: Sequence[int]) -> Forest:
     n = len(parents)
     kids: list[list[int]] = [[] for _ in range(n + 1)]
     for v, p in enumerate(parents, start=1):
-        if not isinstance(p, int) or not 0 <= p <= n:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ValueError(f"parent entry {p!r} for vertex {v} is not an integer")
+        if not 0 <= p <= n:
             raise ValueError(f"parent entry {p!r} for vertex {v} is out of range")
         if p == v:
             raise ValueError(f"vertex {v} cannot be its own parent")
@@ -379,12 +378,4 @@ def remove_root(forest: Forest) -> Forest:
     """Delete the root of a one-tree forest; its children become the roots."""
     if len(forest.roots) != 1:
         raise ValueError("remove_root needs a forest consisting of a single tree")
-    n = forest.n
-    parent = [0] * n
-    children: list[tuple[int, ...]] = [()] * n
-    children[0] = tuple(c - 1 for c in forest.children[1])
-    for v in range(2, n + 1):
-        p = forest.parent[v]
-        parent[v - 1] = 0 if p == 1 else p - 1
-        children[v - 1] = tuple(c - 1 for c in forest.children[v])
-    return Forest(n=n - 1, parent=tuple(parent), children=tuple(children))
+    return parse_forest(forest.render()[1:-1])

@@ -44,7 +44,7 @@ def rhs_inv_b(forest: Forest) -> BiPoly:
 def rhs_inv_d(forest: Forest) -> BiPoly:
     """Even-signed distribution of inv-d: (n!/(2 prod h)) * prod (1+q^(h-1))[h].
 
-    Computed as the doubled polynomial halved with a per-coefficient
+    Computed as the doubled polynomial divided by 2 with a per-coefficient
     exactness check (every nonempty forest has a leaf, so a factor 2).
     """
     if forest.n == 0:
@@ -53,7 +53,7 @@ def rhs_inv_d(forest: Forest) -> BiPoly:
     for h in hook_lengths(forest)[1:]:
         # for a leaf the binomial factor degenerates to the constant 2
         out = out * (BiPoly.one() + BiPoly.term(1, q=h - 1)) * q_number(h)
-    return out.halve()
+    return out.div_int(2)
 
 
 def rhs_bivariate_inv(forest: Forest) -> BiPoly:

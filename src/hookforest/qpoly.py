@@ -195,9 +195,6 @@ class BiPoly:
             out[key] = quo
         return BiPoly(out)
 
-    def halve(self) -> "BiPoly":
-        return self.div_int(2)
-
     def shift_q(self, k: int) -> "BiPoly":
         """Multiply by q^k."""
         if k < 0:

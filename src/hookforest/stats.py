@@ -181,23 +181,6 @@ def n2_forest(forest: Forest, w: Word) -> int:
     return sum(1 for a, b in comparable_pairs(forest) if w[a - 1] + w[b - 1] < 0)
 
 
-def inv_b_forest(forest: Forest, w: Word) -> int:
-    """Forest inversion number of type B: inv + n1 + n2."""
-    return inv_forest(forest, w) + n1_forest(forest, w) + n2_forest(forest, w)
-
-
-def inv_d_forest(forest: Forest, w: Word) -> int:
-    """Forest inversion number of type D: inv + n2, even-signed labelings only."""
-    if n1_forest(forest, w) % 2:
-        raise ValueError("inv-d needs an even number of negative labels")
-    return inv_forest(forest, w) + n2_forest(forest, w)
-
-
-def fmaj_forest(forest: Forest, w: Word) -> int:
-    """Flag major index of a signed labeled forest: 2*maj + n1."""
-    return 2 * maj_forest(forest, w) + n1_forest(forest, w)
-
-
 def descents_b_forest(forest: Forest, w: Word) -> tuple[int, ...]:
     """Descents together with the positively labeled roots."""
     des = set(descents_forest(forest, w))
@@ -212,21 +195,6 @@ def maj_b_forest(forest: Forest, w: Word) -> int:
 
 def p_forest(forest: Forest, w: Word) -> int:
     return sum(1 for v in w if v > 0)
-
-
-def rmaj_forest(forest: Forest, w: Word) -> int:
-    """R-major index of a signed labeled forest: 2*maj_b - p."""
-    return 2 * maj_b_forest(forest, w) - p_forest(forest, w)
-
-
-def nmaj_forest(forest: Forest, w: Word) -> int:
-    """maj + n1 + n2 (not equidistributed with inv-b; see the search tools)."""
-    return maj_forest(forest, w) + n1_forest(forest, w) + n2_forest(forest, w)
-
-
-def dmaj_forest(forest: Forest, w: Word) -> int:
-    """maj + n2; total on all labelings, type-D checks filter to even-signed."""
-    return maj_forest(forest, w) + n2_forest(forest, w)
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +216,19 @@ PERM_STATS = {
     "dmaj": dmaj,
 }
 
-FOREST_STATS = {
-    "inv-f": inv_forest,
-    "maj-f": maj_forest,
-    "n1-f": n1_forest,
-    "n2-f": n2_forest,
-    "inv-b-f": inv_b_forest,
-    "inv-d-f": inv_d_forest,
-    "fmaj-f": fmaj_forest,
-    "maj-b-f": maj_b_forest,
-    "p-f": p_forest,
-    "rmaj-f": rmaj_forest,
-    "nmaj-f": nmaj_forest,
-    "dmaj-f": dmaj_forest,
+# the per-vertex terms of hookforest.chaindp as per-labeling functions;
+# the differential tests check the chain DP against them
+TERM_STATS = {
+    "inv": inv_forest,
+    "n2": n2_forest,
+    "n1": n1_forest,
+    "p": p_forest,
+    "maj": maj_forest,
+    "maj-b": maj_b_forest,
 }
 
-# each forest statistic as a sum of per-vertex terms (hookforest.chaindp
-# defines the terms); the functions above stay the independent oracle
+# each forest statistic as an integer combination of the per-vertex
+# terms: its one definition, read by the chain DP and by FOREST_STATS
 FOREST_TERMS = {
     "inv-f": {"inv": 1},
     "maj-f": {"maj": 1},
@@ -279,6 +243,28 @@ FOREST_TERMS = {
     "nmaj-f": {"maj": 1, "n1": 1, "n2": 1},
     "dmaj-f": {"maj": 1, "n2": 1},
 }
+
+# the statistic defined only on labelings with an even number of negatives
+EVEN_SIGNED_STAT = "inv-d-f"
+
+
+def _from_terms(stat_id: str):
+    """The per-labeling function of a FOREST_TERMS row.  It looks the term
+    functions up on each call, so wrappers installed on them see it."""
+    terms = FOREST_TERMS[stat_id]
+    name = stat_id[:-2]
+
+    def stat(forest: Forest, w: Word) -> int:
+        if stat_id == EVEN_SIGNED_STAT and n1_forest(forest, w) % 2:
+            raise ValueError(f"{name} needs an even number of negative labels")
+        return sum(c * TERM_STATS[t](forest, w) for t, c in terms.items())
+
+    stat.__name__ = name.replace("-", "_") + "_forest"
+    return stat
+
+
+FOREST_STATS = {stat_id: _from_terms(stat_id) for stat_id in FOREST_TERMS}
+
 
 def resolve_forest_stat(stat):
     """Map a forest statistic id (or callable) to (canonical id, function)."""

@@ -90,8 +90,9 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
         aux_id, aux_fn = stats.resolve_forest_stat(aux)
     else:
         aux_id = None
-    if mode != "even-signed" and "inv-d-f" in (stat_id, aux_id):
-        raise ValueError("inv-d is only defined on even-signed labelings")
+    if mode != "even-signed" and stats.EVEN_SIGNED_STAT in (stat_id, aux_id):
+        raise ValueError(f"{stats.EVEN_SIGNED_STAT[:-2]} is only defined "
+                         "on even-signed labelings")
     if not callable(stat) and not callable(aux):
         return chaindp.term_distribution(
             forest, stats.FOREST_TERMS[stat_id], mode,
@@ -181,6 +182,11 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"max-n must be nonnegative, got {max_n}")
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
+
+
 def closed_form(theorem_id: str, forest: Forest) -> Optional[BiPoly]:
     """The theorem's labeling-free closed form on the forest (size-level
     ids use forest.n), or None when it has none."""
@@ -242,11 +248,12 @@ def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -
 
 def check_even_odd(forest: Forest) -> CheckReport:
     """The (negatives, inv+n2) distribution over all signed labelings
-    vanishes at t = -1: its even- and odd-negative slices agree."""
+    vanishes at t = -1: its even- and odd-negative slices agree.  inv+n2
+    is inv-d's terms, taken outside inv-d's even-signed domain."""
     if forest.n == 0:
         raise ValueError("the even/odd cancellation needs at least one vertex")
-    dist = chaindp.term_distribution(forest, {"inv": 1, "n2": 1}, "signed",
-                                     stats.FOREST_TERMS["n1-f"])
+    dist = chaindp.term_distribution(forest, stats.FOREST_TERMS[stats.EVEN_SIGNED_STAT],
+                                     "signed", stats.FOREST_TERMS["n1-f"])
     value = dist.eval_t(-1)
     passed = value.is_zero()
     return CheckReport("eq-even-odd", forest.render(), value, BiPoly.zero(), passed,
@@ -441,6 +448,7 @@ def check_mirror(forest: Forest) -> CheckReport:
     """The mirror map is an involution carrying rmaj to fmaj, with the
     accompanying maj-b and positivity identities."""
     label = forest.render()
+    rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
     lhs_terms: dict[tuple[int, int], int] = {}
     rhs_terms: dict[tuple[int, int], int] = {}
     for w in enumerate_labelings(forest, "signed"):
@@ -448,8 +456,8 @@ def check_mirror(forest: Forest) -> CheckReport:
         if mirror_labeling(forest, w2) != w:
             return CheckReport("mirror", label, None, None, False,
                                f"labeling {w}: mirror is not an involution")
-        r = stats.rmaj_forest(forest, w)
-        fm = stats.fmaj_forest(forest, w2)
+        r = rmaj(forest, w)
+        fm = fmaj(forest, w2)
         if r != fm:
             return CheckReport("mirror", label, None, None, False,
                                f"labeling {w}: rmaj {r} != fmaj {fm} of the mirror")
@@ -461,7 +469,7 @@ def check_mirror(forest: Forest) -> CheckReport:
             return CheckReport("mirror", label, None, None, False,
                                f"labeling {w}: positives do not mirror to negatives")
         lhs_terms[(0, r)] = lhs_terms.get((0, r), 0) + 1
-        key = (0, stats.fmaj_forest(forest, w))
+        key = (0, fmaj(forest, w))
         rhs_terms[key] = rhs_terms.get(key, 0) + 1
     return CheckReport("mirror", label, BiPoly(lhs_terms), BiPoly(rhs_terms), True)
 
@@ -489,6 +497,7 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
     cover every signed labeling exactly once."""
     n = forest.n
     label = forest.render()
+    fmaj = stats.FOREST_STATS["fmaj-f"]
     seen = set()
     reps = list(stats.increasing_signed_words(n))
     for w in enumerate_labelings(forest, "ordinary"):
@@ -503,7 +512,7 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
             if stats.n1_forest(forest, tw) != negatives:
                 return CheckReport("eq-coset-fmaj", label, None, None, False,
                                    f"w={w}, tau={tau}: negative count changed")
-            if stats.fmaj_forest(forest, tw) != twice_maj + negatives:
+            if fmaj(forest, tw) != twice_maj + negatives:
                 return CheckReport("eq-coset-fmaj", label, None, None, False,
                                    f"w={w}, tau={tau}: fmaj does not split")
             seen.add(tw)
@@ -517,7 +526,7 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
 # sweeps and counterexample search
 
 def _map_ordered(fn: Callable, items, jobs: int) -> list:
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -533,6 +542,7 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     """
     row = _theorem(theorem_id)
     _check_max_n(max_n)
+    _check_jobs(jobs)
     reports: list[CheckReport] = []
     for n in range(row.start, max_n + 1):
         if row.scope == "size":
@@ -554,6 +564,7 @@ def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
     for stat in (stat_a, stat_b):
         stats.resolve_forest_stat(stat)
     _check_max_n(max_n)
+    _check_jobs(jobs)
     for n in range(max_n + 1):
         forests = list(enumerate_forests(n))
         rows = _map_ordered(

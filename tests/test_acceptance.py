@@ -176,13 +176,13 @@ def test_criterion_11_counterexamples():
 
 def test_criterion_12_property_suite():
     chain_pairs = [
-        (stats.inv_forest, stats.inv), (stats.maj_forest, stats.maj),
-        (stats.n1_forest, stats.n1), (stats.n2_forest, stats.n2),
-        (stats.inv_b_forest, stats.len_b), (stats.fmaj_forest, stats.fmaj),
-        (stats.maj_b_forest, stats.maj_b), (stats.p_forest, stats.p),
-        (stats.rmaj_forest, stats.rmaj), (stats.nmaj_forest, stats.nmaj),
-        (stats.dmaj_forest, stats.dmaj),
+        (stats.FOREST_STATS[forest_id], stats.PERM_STATS[word_id])
+        for forest_id, word_id in [
+            ("inv-f", "inv"), ("maj-f", "maj"), ("n1-f", "n1"), ("n2-f", "n2"),
+            ("inv-b-f", "len-b"), ("fmaj-f", "fmaj"), ("maj-b-f", "maj-b"),
+            ("p-f", "p"), ("rmaj-f", "rmaj"), ("nmaj-f", "nmaj"), ("dmaj-f", "dmaj")]
     ]
+    inv_b, inv_d = stats.FOREST_STATS["inv-b-f"], stats.FOREST_STATS["inv-d-f"]
     with _Timer() as t:
         ok = True
         for n in range(7):
@@ -192,7 +192,7 @@ def test_criterion_12_property_suite():
                 for forest_fn, word_fn in chain_pairs:
                     ok = ok and forest_fn(forest, w) == word_fn(word)
             for w in enumerate_labelings(forest, "even-signed"):
-                ok = ok and stats.inv_d_forest(forest, w) == stats.len_d(tuple(reversed(w)))
+                ok = ok and inv_d(forest, w) == stats.len_d(tuple(reversed(w)))
         for n in range(7):
             for sigma in stats.signed_permutations(n):
                 ok = ok and (-sum(v for v in sigma if v < 0)
@@ -203,10 +203,10 @@ def test_criterion_12_property_suite():
                     continue
                 inner = remove_root(forest)
                 for w in enumerate_labelings(forest, "signed"):
-                    base = stats.inv_b_forest(inner, w[1:])
+                    base = inv_b(inner, w[1:])
                     if w[0] > 0:
-                        ok = ok and stats.inv_b_forest(forest, w) == base + n - w[0]
+                        ok = ok and inv_b(forest, w) == base + n - w[0]
                     else:
-                        ok = ok and stats.inv_b_forest(forest, w) == base + n - 1 - w[0]
+                        ok = ok and inv_b(forest, w) == base + n - 1 - w[0]
     _report("12 (chain reduction n<=6, negative-sum identity n<=6, "
             "root-removal recursion n<=5)", ok, t.elapsed)

@@ -66,14 +66,15 @@ def test_coset_decompose_reconstructs():
 
 
 def test_mirror_examples():
+    rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
     dot = parse_forest("()")
     assert verify.mirror_labeling(dot, (1,)) == (-1,)
-    assert stats.rmaj_forest(dot, (1,)) == stats.fmaj_forest(dot, (-1,)) == 1
+    assert rmaj(dot, (1,)) == fmaj(dot, (-1,)) == 1
     chain2 = chain_forest(2)
     # root 2, child 1 mirrors to root -1, child -2
     assert verify.mirror_labeling(chain2, (2, 1)) == (-1, -2)
-    assert stats.rmaj_forest(chain2, (2, 1)) == 2
-    assert stats.fmaj_forest(chain2, (-1, -2)) == 2
+    assert rmaj(chain2, (2, 1)) == 2
+    assert fmaj(chain2, (-1, -2)) == 2
 
 
 @given(st.integers(0, 5), st.data())

@@ -51,6 +51,12 @@ def test_rhs_needs_labeling_free_theorem(capsys):
     assert "linext" in err
 
 
+def test_rhs_theorem_without_closed_form(capsys):
+    code, out, err = run(capsys, "rhs", "--forest", "()", "--theorem", "eq-even-odd")
+    assert code == 2 and out == ""
+    assert err == "error: 'eq-even-odd' has no closed form\n"
+
+
 def test_rhs_unknown_theorem(capsys):
     code, out, err = run(capsys, "rhs", "--forest", "()", "--theorem", "nope")
     assert code == 2 and out == ""
@@ -172,6 +178,9 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     ("counterexample", "--stat", "inv-b", "--vs", "nope", "--max-n", "-1"),
     ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "-1"),
     ("bijections", "--max-n", "-1"),
+    ("dist", "--forest", "[0,true]", "--stat", "inv-b"),
+    ("sweep", "--max-n", "1", "--theorem", "thm-bw", "--jobs", "0"),
+    ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "1", "--jobs", "-3"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -90,9 +90,9 @@ def test_subst_q2_t_invq():
 
 
 def test_halve_and_div_int():
-    assert (q_number(2) * 2).halve() == q_number(2)
+    assert (q_number(2) * 2).div_int(2) == q_number(2)
     with pytest.raises(ValueError):
-        q_number(2).halve()
+        q_number(2).div_int(2)
     assert (q_number(3) * 6).div_int(3) == q_number(3) * 2
 
 

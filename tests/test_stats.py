@@ -37,6 +37,7 @@ def test_empty_word():
 
 CHAIN2 = chain_forest(2)
 STAR = parse_forest("(()())")
+PAIR = parse_forest("()()")
 
 # forest-level cases use the label vector (w(vertex 1), ..., w(vertex n));
 # for the chain, vertex 1 is the root and vertex 2 the child
@@ -68,6 +69,21 @@ FOREST_CASES = [
     ("nmaj-f", CHAIN2, (-2, 1), 3),
     ("dmaj-f", parse_forest("()"), (1,), 0),
     ("dmaj-f", CHAIN2, (-2, -1), 2),
+    # the composites off the chains, by hand: in (()()) the root 1 has
+    # hook 3 and is comparable with the leaves 2 and 3; in ()() both
+    # vertices are roots with hook 1, so inv = n2 = maj = 0 there
+    ("inv-b-f", STAR, (-1, 3, -2), 4),   # inv 1 (-1 < 3), n1 2, n2 1 (-1 - 2)
+    ("inv-d-f", STAR, (-1, 3, -2), 2),   # inv 1, n2 1
+    ("fmaj-f", STAR, (1, 3, -2), 3),     # maj 1 (3 > 1 at vertex 2), n1 1
+    ("rmaj-f", STAR, (1, 3, -2), 6),     # maj-b 1 + 3 (positive root), p 2
+    ("nmaj-f", STAR, (2, -3, 1), 2),     # maj 0, n1 1, n2 1 (2 - 3)
+    ("dmaj-f", STAR, (-1, 3, -2), 2),    # maj 1, n2 1
+    ("inv-b-f", PAIR, (-2, 1), 1),       # n1 1
+    ("inv-d-f", PAIR, (-1, -2), 0),
+    ("fmaj-f", PAIR, (-2, -1), 2),       # n1 2
+    ("rmaj-f", PAIR, (2, 1), 2),         # maj-b 2 (two positive roots), p 2
+    ("nmaj-f", PAIR, (1, -2), 1),        # n1 1
+    ("dmaj-f", PAIR, (2, -1), 0),
 ]
 
 
@@ -87,12 +103,12 @@ def test_descent_sets():
 
 def test_inv_d_rejects_odd_signs():
     with pytest.raises(ValueError):
-        stats.inv_d_forest(CHAIN2, (-1, 2))
+        stats.FOREST_STATS["inv-d-f"](CHAIN2, (-1, 2))
 
 
 def test_resolve_forest_stat():
     ident, fn = stats.resolve_forest_stat("inv-b")
-    assert ident == "inv-b-f" and fn is stats.inv_b_forest
+    assert ident == "inv-b-f" and fn is stats.FOREST_STATS["inv-b-f"]
     ident, fn = stats.resolve_forest_stat("nmaj-f")
     assert ident == "nmaj-f"
     with pytest.raises(KeyError):
@@ -108,15 +124,14 @@ def test_registries_cover_the_statistic_ids():
         "maj-b-f", "p-f", "rmaj-f", "nmaj-f", "dmaj-f"}
 
 
-# the forest statistic and the word statistic it extends, compared on
-# chains through the bottom-up reading
+# the forest statistic and the separately written word statistic it
+# extends, compared on chains through the bottom-up reading
 CHAIN_PAIRS = [
-    (stats.inv_forest, stats.inv), (stats.maj_forest, stats.maj),
-    (stats.n1_forest, stats.n1), (stats.n2_forest, stats.n2),
-    (stats.inv_b_forest, stats.len_b), (stats.fmaj_forest, stats.fmaj),
-    (stats.maj_b_forest, stats.maj_b), (stats.p_forest, stats.p),
-    (stats.rmaj_forest, stats.rmaj), (stats.nmaj_forest, stats.nmaj),
-    (stats.dmaj_forest, stats.dmaj),
+    (stats.FOREST_STATS[forest_id], stats.PERM_STATS[word_id])
+    for forest_id, word_id in [
+        ("inv-f", "inv"), ("maj-f", "maj"), ("n1-f", "n1"), ("n2-f", "n2"),
+        ("inv-b-f", "len-b"), ("fmaj-f", "fmaj"), ("maj-b-f", "maj-b"),
+        ("p-f", "p"), ("rmaj-f", "rmaj"), ("nmaj-f", "nmaj"), ("dmaj-f", "dmaj")]
 ]
 
 
@@ -128,7 +143,7 @@ def test_chain_reduction_small():
             for forest_fn, word_fn in CHAIN_PAIRS:
                 assert forest_fn(f, w) == word_fn(word)
         for w in enumerate_labelings(f, "even-signed"):
-            assert stats.inv_d_forest(f, w) == stats.len_d(tuple(reversed(w)))
+            assert stats.FOREST_STATS["inv-d-f"](f, w) == stats.len_d(tuple(reversed(w)))
 
 
 def test_negative_sum_identity_small():
@@ -147,6 +162,7 @@ def test_len_d_two_forms():
 
 def test_root_removal_recursion_small():
     # trees only; labels of the subforest keep their original values
+    inv_b = stats.FOREST_STATS["inv-b-f"]
     for n in range(1, 5):
         for f in enumerate_forests(n):
             if len(f.roots) != 1:
@@ -155,11 +171,11 @@ def test_root_removal_recursion_small():
             for w in enumerate_labelings(f, "signed"):
                 rest = w[1:]
                 top = w[0]
-                base = stats.inv_b_forest(inner, rest)
+                base = inv_b(inner, rest)
                 if top > 0:
-                    assert stats.inv_b_forest(f, w) == base + n - top
+                    assert inv_b(f, w) == base + n - top
                 else:
-                    assert stats.inv_b_forest(f, w) == base + n - 1 - top
+                    assert inv_b(f, w) == base + n - 1 - top
 
 
 def test_enumerators():

@@ -28,7 +28,7 @@ def test_distribution_accepts_aliases_and_callables():
     chain2 = chain_forest(2)
     assert (verify.distribution(chain2, "inv-b", "signed")
             == verify.distribution(chain2, "inv-b-f", "signed")
-            == verify.distribution(chain2, stats.inv_b_forest, "signed"))
+            == verify.distribution(chain2, stats.FOREST_STATS["inv-b-f"], "signed"))
 
 
 def test_distribution_mode_compatibility():
@@ -244,8 +244,8 @@ def _assert_dp_matches(forests, cases):
                     (forest, stat, mode, aux)
 
 
-def test_forest_terms_cover_every_forest_stat():
-    assert set(stats.FOREST_TERMS) == set(stats.FOREST_STATS)
+def test_term_stats_cover_the_chaindp_terms():
+    assert set(stats.TERM_STATS) == set(chaindp.TERMS)
 
 
 def test_dp_matches_brute_force_every_case_small():
@@ -277,7 +277,7 @@ def test_even_odd_terms_match_brute_force():
     raw = lambda f, w: stats.inv_forest(f, w) + stats.n2_forest(f, w)
     for n in range(1, 5):
         for forest in enumerate_forests(n):
-            dp = chaindp.term_distribution(forest, {"inv": 1, "n2": 1}, "signed",
+            dp = chaindp.term_distribution(forest, stats.FOREST_TERMS["inv-d-f"], "signed",
                                            stats.FOREST_TERMS["n1-f"])
             assert dp == verify.distribution(forest, raw, "signed", aux=stats.n1_forest)
             assert verify.check_even_odd(forest).passed
