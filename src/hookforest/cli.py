@@ -22,14 +22,6 @@ from .forest import (MODES, Forest, ForestParseError, enumerate_forests,
 from .qpoly import BiPoly, Series
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("HOOKFOREST_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _print_poly(poly, fmt: str, **extra) -> None:
     if fmt == "human":
         print(poly.render())
@@ -52,6 +44,27 @@ def _print_report(report: verify.CheckReport, fmt: str) -> None:
         print(f"  lhs: {report.lhs.render()}")
     if report.rhs is not None:
         print(f"  rhs: {report.rhs.render()}")
+
+
+def _print_reports(reports, fmt: str) -> int:
+    """One summary line (or record) per report; returns the failure count."""
+    for report in reports:
+        print(json.dumps(report.to_record()) if fmt == "records" else report.summary())
+    return sum(not r.passed for r in reports)
+
+
+def _jobs_arg(args) -> int:
+    """--jobs if given, else the HOOKFOREST_JOBS environment variable, else 1."""
+    if args.jobs is not None:
+        return args.jobs
+    raw = os.environ.get("HOOKFOREST_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"HOOKFOREST_JOBS must be a positive integer, got {raw!r}")
+    return jobs
 
 
 def _forest_arg(args) -> Forest:
@@ -91,29 +104,18 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     reports = verify.sweep(args.theorem, args.max_n, degree=args.degree,
-                           jobs=args.jobs, fail_fast=args.fail_fast)
-    failed = False
-    for report in reports:
-        if args.format == "records":
-            print(json.dumps(report.to_record()))
-        else:
-            print(report.summary())
-        failed = failed or not report.passed
+                           jobs=_jobs_arg(args), fail_fast=args.fail_fast)
+    failures = _print_reports(reports, args.format)
     if args.format == "human":
-        print(f"{len(reports)} checks, {sum(not r.passed for r in reports)} failures")
-    return 1 if failed else 0
+        print(f"{len(reports)} checks, {failures} failures")
+    return 1 if failures else 0
 
 
 def cmd_linext(args) -> int:
     forest = _forest_arg(args)
     w = _labeling_arg(args, forest)
-    words = list(linear_extensions(forest, w))
-    total = BiPoly({})
-    rows = []
-    for word in words:
-        m = stats.maj_b(word)
-        total = total + BiPoly.term(1, q=m)
-        rows.append((word, m))
+    rows = [(word, stats.maj_b(word)) for word in linear_extensions(forest, w)]
+    total = BiPoly(((0, m), 1) for _, m in rows)
     closed = formulas.rhs_linext(forest, w)
     passed = total == closed
     if args.format == "records":
@@ -168,19 +170,12 @@ def cmd_bijections(args) -> int:
     for n in range(args.max_n + 1):
         for forest in enumerate_forests(n):
             reports.append(verify.check_mirror(forest))
-    failed = False
-    for report in reports:
-        if args.format == "records":
-            print(json.dumps(report.to_record()))
-        else:
-            print(report.summary())
-        failed = failed or not report.passed
-    return 1 if failed else 0
+    return 1 if _print_reports(reports, args.format) else 0
 
 
 def cmd_counterexample(args) -> int:
     result = verify.counterexample_search(args.stat, args.vs, args.mode,
-                                          args.max_n, jobs=args.jobs)
+                                          args.max_n, jobs=_jobs_arg(args))
     if args.format == "records":
         if result is None:
             print(json.dumps({"witness": None}))
@@ -244,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--theorem", required=True)
     p.add_argument("--degree", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int,
+                   help="worker threads (default: HOOKFOREST_JOBS, else 1)")
     p.add_argument("--fail-fast", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -274,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vs", required=True)
     p.add_argument("--mode", choices=MODES, default="signed")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int,
+                   help="worker threads (default: HOOKFOREST_JOBS, else 1)")
     add_common(p)
     p.set_defaults(func=cmd_counterexample)
 

@@ -1,4 +1,4 @@
-"""Plane rooted forests, their signed labelings, and linear extensions.
+"""Plane rooted forests, signed words and labelings, and linear extensions.
 
 Vertices are indexed 1..n in depth-first preorder (a root before its
 subtree, subtrees left to right, trees left to right), so the subtree
@@ -229,47 +229,53 @@ def enumerate_forests(n: int) -> Iterator[Forest]:
         yield parse_forest(s)
 
 
-def _signed_vectors(n: int) -> Iterator[tuple[int, ...]]:
-    # lexicographic: at each position try -n < ... < -1 < 1 < ... < n
-    used = [False] * (n + 1)
-    values: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(values) == n:
-            yield tuple(values)
-            return
-        avail = [k for k in range(1, n + 1) if not used[k]]
-        for v in [-k for k in reversed(avail)] + avail:
-            used[abs(v)] = True
-            values.append(v)
-            yield from rec()
-            values.pop()
-            used[abs(v)] = False
-
-    yield from rec()
-
-
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown sign mode {mode!r}; expected one of {MODES}")
 
 
-def enumerate_labelings(forest: Forest, mode: str = "signed") -> Iterator[tuple[int, ...]]:
-    """Label vectors of the forest in lexicographic order.
+def enumerate_words(n: int, mode: str = "signed") -> Iterator[tuple[int, ...]]:
+    """Words on the absolute values 1..n in lexicographic order.
 
-    Counts are n! (ordinary), 2^n n! (signed) and 2^(n-1) n!
-    (even-signed, n >= 1).
+    The ordinary mode gives the n! permutations, the signed mode the
+    2^n n! signed permutations, and the even-signed mode the 2^(n-1) n!
+    signed permutations with an even number of negative entries (n >= 1).
     """
     _check_mode(mode)
-    n = forest.n
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     if mode == "ordinary":
         yield from itertools.permutations(range(1, n + 1))
         return
-    even_only = mode == "even-signed"
-    for vec in _signed_vectors(n):
-        if even_only and sum(1 for v in vec if v < 0) % 2:
-            continue
-        yield vec
+    even = mode == "even-signed"
+
+    # rest holds the unused absolute values in increasing order; at each
+    # position the values run -max(rest) < ... < -min(rest) < min(rest) < ...
+    def rec(prefix, rest, negatives):
+        if len(rest) == 1:
+            k = rest[0]
+            if even:
+                # the last sign makes the number of negatives even
+                yield prefix + ((-k if negatives % 2 else k),)
+            else:
+                yield prefix + (-k,)
+                yield prefix + (k,)
+            return
+        for i in reversed(range(len(rest))):
+            yield from rec(prefix + (-rest[i],), rest[:i] + rest[i + 1:], negatives + 1)
+        for i in range(len(rest)):
+            yield from rec(prefix + (rest[i],), rest[:i] + rest[i + 1:], negatives)
+
+    if n == 0:
+        yield ()
+    else:
+        yield from rec((), tuple(range(1, n + 1)), 0)
+
+
+def enumerate_labelings(forest: Forest, mode: str = "signed") -> Iterator[tuple[int, ...]]:
+    """Label vectors of the forest in lexicographic order: the words of
+    ``enumerate_words`` on forest.n, entry v-1 the label of vertex v."""
+    yield from enumerate_words(forest.n, mode)
 
 
 def labeling_count(n: int, mode: str) -> int:

@@ -147,19 +147,8 @@ class BiPoly:
         """Substitute an integer in {-1, 0, 1} for t; the result is q-only."""
         if value not in (-1, 0, 1):
             raise ValueError("t substitution is supported for -1, 0 and 1 only")
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in self._terms.items():
-            if value == 0 and a > 0:
-                continue
-            if value == -1 and a % 2:
-                c = -c
-            key = (0, b)
-            total = out.get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return BiPoly(out)
+        return BiPoly(((0, b), -c if value == -1 and a % 2 else c)
+                      for (a, b), c in self._terms.items() if value or not a)
 
     def subst_q_squared(self) -> "BiPoly":
         """Replace q by q^2, leaving t untouched."""
@@ -170,20 +159,10 @@ class BiPoly:
 
         Each term t^a q^b becomes q^(2b - a).  Valid only when every
         resulting exponent is nonnegative; otherwise the polynomial is
-        outside the domain of this substitution and a ValueError fires.
+        outside the domain of this substitution and the constructor's
+        negative-exponent ValueError fires.
         """
-        out: dict[tuple[int, int], int] = {}
-        for (a, b), c in self._terms.items():
-            e = 2 * b - a
-            if e < 0:
-                raise ValueError(f"term t^{a}*q^{b} would map to q^{e}")
-            key = (0, e)
-            total = out.get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return BiPoly(out)
+        return BiPoly(((0, 2 * b - a), c) for (a, b), c in self._terms.items())
 
     def div_int(self, k: int) -> "BiPoly":
         """Divide every coefficient by k, exactly."""

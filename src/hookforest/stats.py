@@ -125,21 +125,6 @@ def dmaj(sigma: Word) -> int:
     return maj(sigma) + n2(sigma)
 
 
-def signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """All 2^n n! signed permutations of 1..n."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(s * v for s, v in zip(signs, perm))
-
-
-def even_signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Signed permutations with an even number of negative entries."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if signs.count(-1) % 2 == 0:
-                yield tuple(s * v for s, v in zip(signs, perm))
-
-
 def increasing_signed_words(n: int) -> Iterator[tuple[int, ...]]:
     """The 2^n signed words with strictly increasing values.
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
 from .forest import (Forest, comparable_pairs, decreasing_labeling,
-                     enumerate_forests, enumerate_labelings, hook_lengths,
-                     labeling_count, linear_extensions)
+                     enumerate_forests, enumerate_labelings, enumerate_words,
+                     hook_lengths, labeling_count, linear_extensions)
 from .qpoly import BiPoly, Series
 
 
@@ -85,11 +86,7 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
     distribution; a callable is evaluated on every labeling.
     """
     stat_id, stat_fn = stats.resolve_forest_stat(stat)
-    aux_fn = None
-    if aux is not None:
-        aux_id, aux_fn = stats.resolve_forest_stat(aux)
-    else:
-        aux_id = None
+    aux_id, aux_fn = stats.resolve_forest_stat(aux) if aux is not None else (None, None)
     if mode != "even-signed" and stats.EVEN_SIGNED_STAT in (stat_id, aux_id):
         raise ValueError(f"{stats.EVEN_SIGNED_STAT[:-2]} is only defined "
                          "on even-signed labelings")
@@ -97,19 +94,18 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
         return chaindp.term_distribution(
             forest, stats.FOREST_TERMS[stat_id], mode,
             stats.FOREST_TERMS[aux_id] if aux_id else None)
-    terms: dict[tuple[int, int], int] = {}
-    for w in enumerate_labelings(forest, mode):
-        key = (aux_fn(forest, w) if aux_fn else 0, stat_fn(forest, w))
-        terms[key] = terms.get(key, 0) + 1
-    return BiPoly(terms)
+    pair = (partial(stat_fn, forest), partial(aux_fn, forest) if aux_fn else None)
+    (dist,) = _distributions(enumerate_labelings(forest, mode), [pair])
+    return dist
 
 
-def _word_distributions(words, pairs) -> list[BiPoly]:
-    """One distribution per (stat, aux) function pair, in one pass over the words."""
+def _distributions(objects, pairs) -> list[BiPoly]:
+    """Sum of t^aux(x) q^stat(x) over the objects x, one polynomial per
+    (stat, aux) function pair (aux None means t^0), in one pass."""
     tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for word in words:
+    for x in objects:
         for tally, (stat_fn, aux_fn) in zip(tallies, pairs):
-            key = (aux_fn(word) if aux_fn else 0, stat_fn(word))
+            key = (aux_fn(x) if aux_fn else 0, stat_fn(x))
             tally[key] = tally.get(key, 0) + 1
     return [BiPoly(tally) for tally in tallies]
 
@@ -140,7 +136,7 @@ class Theorem:
 
 
 def _linext_pair(forest: Forest, w, degree: int) -> tuple[BiPoly, BiPoly]:
-    (lhs,) = _word_distributions(linear_extensions(forest, w), [(stats.maj_b, None)])
+    (lhs,) = _distributions(linear_extensions(forest, w), [(stats.maj_b, None)])
     return lhs, formulas.rhs_linext(forest, w)
 
 
@@ -214,11 +210,9 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
 
 
 def _check_size(theorem_id: str, row: Theorem, n: int) -> CheckReport:
-    words = (stats.even_signed_permutations(n) if row.mode == "even-signed"
-             else stats.signed_permutations(n))
     perm = stats.PERM_STATS
-    sides = _word_distributions(words, [(perm[stat], perm[aux] if aux else None)
-                                        for stat, aux in row.lhs])
+    sides = _distributions(enumerate_words(n, row.mode),
+                           [(perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
     return _check_sides(theorem_id, row, f"n={n}", getattr(formulas, row.rhs)(n), sides)
 
 
@@ -298,30 +292,10 @@ def enumerate_partitions(forest: Forest, w, max_total: int) -> Iterator[tuple[in
             yield f
 
 
-def forest_partitions(forest: Forest, max_total: int) -> Iterator[tuple[int, ...]]:
-    """Vertex maps obeying only the weak increase toward leaves, bounded weight."""
-    pairs = comparable_pairs(forest)
-    for f in _bounded_grid(forest.n, max_total):
-        if all(f[a - 1] <= f[b - 1] for a, b in pairs):
-            yield f
-
-
 def partition_lhs_series(forest: Forest, w, degree: int) -> Series:
     """Weight generating series of the type-B partitions, truncated."""
-    counts: dict[tuple[int, int], int] = {}
-    for f in enumerate_partitions(forest, w, degree):
-        key = (0, sum(f))
-        counts[key] = counts.get(key, 0) + 1
-    return Series(BiPoly(counts), degree)
-
-
-def forest_partition_series(forest: Forest, degree: int) -> Series:
-    """Weight generating series of the plain forest partitions, truncated."""
-    counts: dict[tuple[int, int], int] = {}
-    for f in forest_partitions(forest, degree):
-        key = (0, sum(f))
-        counts[key] = counts.get(key, 0) + 1
-    return Series(BiPoly(counts), degree)
+    (counts,) = _distributions(enumerate_partitions(forest, w, degree), [(sum, None)])
+    return Series(counts, degree)
 
 
 def partition_shift(forest: Forest, w, f: Sequence[int]) -> tuple[int, ...]:
@@ -359,8 +333,11 @@ def check_partition_shift(forest: Forest, w, degree: int) -> CheckReport:
             return CheckReport("partition-shift", label, None, None, False,
                                f"labeling {w}: {f} and {images[g]} collide")
         images[g] = f
+    # the plain forest partitions are the type-B partitions of the
+    # all-negative labeling, which has no descents and no positive roots
     bound = degree - majb
-    target = set(forest_partitions(forest, bound)) if bound >= 0 else set()
+    all_negative = tuple(range(-1, -forest.n - 1, -1))
+    target = set(enumerate_partitions(forest, all_negative, bound)) if bound >= 0 else set()
     if set(images) != target:
         return CheckReport("partition-shift", label, None, None, False,
                            f"labeling {w}: image misses some forest partitions")
@@ -426,7 +403,7 @@ def check_psi(n: int) -> CheckReport:
     label = f"n={n}"
     seen = set()
     total = 0
-    for sigma in stats.signed_permutations(n):
+    for sigma in enumerate_words(n, "signed"):
         tau = psi_bijection(sigma)
         if stats.maj_b(sigma) != stats.maj_r(tau) or stats.p(sigma) != stats.n1(tau):
             return CheckReport("psi", label, None, None, False,

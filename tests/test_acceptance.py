@@ -11,8 +11,8 @@ import pathlib
 import time
 
 from hookforest import formulas, stats, verify
-from hookforest.forest import (chain_forest, enumerate_forests,
-                               enumerate_labelings, remove_root)
+from hookforest.forest import (chain_forest, comparable_pairs, enumerate_forests,
+                               enumerate_labelings, enumerate_words, remove_root)
 from hookforest.qpoly import BiPoly, q_factorial
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -45,6 +45,13 @@ def _histogram(pairs):
     return BiPoly(terms)
 
 
+def _plain_forest_partitions(forest, max_total):
+    # vertex maps of weight <= max_total that weakly increase toward the leaves
+    pairs = comparable_pairs(forest)
+    return [f for f in itertools.product(range(max_total + 1), repeat=forest.n)
+            if sum(f) <= max_total and all(f[a - 1] <= f[b - 1] for a, b in pairs)]
+
+
 def test_criterion_01_permutation_inv_maj():
     with _Timer() as t:
         ok = True
@@ -68,10 +75,10 @@ def test_criterion_03_length_generating_functions():
         ok = True
         for n in range(8):
             by_len_b = _histogram((0, stats.len_b(s))
-                                  for s in stats.signed_permutations(n))
+                                  for s in enumerate_words(n, "signed"))
             ok = ok and by_len_b == formulas.rhs_len_b(n)
             by_len_d = _histogram((0, stats.len_d(s))
-                                  for s in stats.even_signed_permutations(n))
+                                  for s in enumerate_words(n, "even-signed"))
             ok = ok and by_len_d == formulas.rhs_len_d(n)
     _report("3 (signed and even-signed length generating functions, n<=7)",
             ok, t.elapsed)
@@ -124,11 +131,13 @@ def test_criterion_08_partition_machinery():
                     ok = ok and verify.check_decomposition_dec1(forest, w, 10).passed
                     ok = ok and verify.check_partition_shift(forest, w, 10).passed
                 # order-reversing all-negative labeling: no descents, the
-                # partition set is unconstrained, the series is the hook product
+                # partition set is unconstrained (only the weak increase
+                # toward leaves), the series is the hook product
                 w_neg = tuple(-v for v in range(1, n + 1))
                 ok = ok and stats.maj_b_forest(forest, w_neg) == 0
+                ok = ok and (list(verify.enumerate_partitions(forest, w_neg, 10))
+                             == _plain_forest_partitions(forest, 10))
                 ok = ok and (verify.partition_lhs_series(forest, w_neg, 10)
-                             == verify.forest_partition_series(forest, 10)
                              == formulas.rhs_partition_gf(forest, w_neg, 10))
     _report("8 (partition series, dec1 split, shift bijection, "
             "all-negative specialization, n<=3)", ok, t.elapsed)
@@ -194,7 +203,7 @@ def test_criterion_12_property_suite():
             for w in enumerate_labelings(forest, "even-signed"):
                 ok = ok and inv_d(forest, w) == stats.len_d(tuple(reversed(w)))
         for n in range(7):
-            for sigma in stats.signed_permutations(n):
+            for sigma in enumerate_words(n, "signed"):
                 ok = ok and (-sum(v for v in sigma if v < 0)
                              == stats.n1(sigma) + stats.n2(sigma))
         for n in range(1, 6):

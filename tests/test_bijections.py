@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hookforest import stats, verify
 from hookforest.forest import (chain_forest, enumerate_forests,
-                               enumerate_labelings, parse_forest)
+                               enumerate_labelings, enumerate_words, parse_forest)
 from hookforest.qpoly import BiPoly
 
 
@@ -20,7 +20,7 @@ def test_psi_examples():
 
 def test_psi_carries_the_statistics():
     for n in range(5):
-        for sigma in stats.signed_permutations(n):
+        for sigma in enumerate_words(n, "signed"):
             tau = verify.psi_bijection(sigma)
             assert stats.maj_b(sigma) == stats.maj_r(tau)
             assert stats.p(sigma) == stats.n1(tau)
@@ -58,7 +58,7 @@ def test_coset_decompose_examples():
 
 def test_coset_decompose_reconstructs():
     for n in range(5):
-        for sigma in stats.signed_permutations(n):
+        for sigma in enumerate_words(n, "signed"):
             tau, pi = verify.coset_decompose(sigma)
             assert list(tau) == sorted(sigma)
             assert sorted(pi) == list(range(1, n + 1))

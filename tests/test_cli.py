@@ -198,8 +198,34 @@ def test_ids_are_checked_before_sizes(capsys):
     assert "unknown forest statistic 'nope'" in err
 
 
-def test_env_var_sets_default_jobs(monkeypatch):
+def test_env_var_sets_default_jobs(capsys, monkeypatch):
     monkeypatch.setenv("HOOKFOREST_JOBS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["sweep", "--max-n", "1", "--theorem", "thm-bw"])
-    assert args.jobs == 3
+    seen = []
+    sweep = verify.sweep
+    monkeypatch.setattr(verify, "sweep",
+                        lambda *a, **kw: seen.append(kw["jobs"]) or sweep(*a, **kw))
+    code, _, _ = run(capsys, "sweep", "--max-n", "1", "--theorem", "thm-bw")
+    assert code == 0 and seen == [3]
+    code, _, _ = run(capsys, "sweep", "--max-n", "1", "--theorem", "thm-bw", "--jobs", "2")
+    assert code == 0 and seen == [3, 2]  # the option wins over the variable
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", ""],
+                         ids=["word", "zero", "negative", "empty"])
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--max-n", "1", "--theorem", "thm-bw"),
+    ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "1"),
+], ids=["sweep", "counterexample"])
+def test_bad_env_jobs_exit_2(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("HOOKFOREST_JOBS", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: HOOKFOREST_JOBS must be a positive integer, got {value!r}\n"
+
+
+def test_other_commands_ignore_env_jobs(capsys, monkeypatch):
+    monkeypatch.setenv("HOOKFOREST_JOBS", "abc")
+    code, out, _ = run(capsys, "dist", "--forest", "()", "--stat", "inv-b")
+    assert code == 0 and out == "1 + q\n"
+    code, _, _ = run(capsys, "sweep", "--max-n", "1", "--theorem", "thm-bw", "--jobs", "1")
+    assert code == 0

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hookforest.forest import (Forest, ForestParseError, chain_forest,
                                comparable_pairs, decreasing_labeling,
                                enumerate_forests, enumerate_labelings,
-                               forest_from_parents, hook_lengths,
+                               enumerate_words, forest_from_parents, hook_lengths,
                                is_strict_ancestor, labeling_count,
                                linear_extensions, parse_forest,
                                parse_forest_input, parse_labeling, postorder,
@@ -175,9 +176,38 @@ def test_labelings_are_lexicographic():
         assert labs == sorted(labs)
 
 
+@pytest.mark.parametrize("mode", ["ordinary", "signed", "even-signed"])
+def test_words_match_an_itertools_construction(mode):
+    # permutations times sign vectors, sorted: pins the set, the count
+    # and the order of the generated words
+    for n in range(6):
+        sign_choices = (1,) if mode == "ordinary" else (1, -1)
+        expected = sorted(
+            tuple(s * v for s, v in zip(signs, perm))
+            for perm in itertools.permutations(range(1, n + 1))
+            for signs in itertools.product(sign_choices, repeat=n)
+            if mode != "even-signed" or signs.count(-1) % 2 == 0)
+        assert list(enumerate_words(n, mode)) == expected
+
+
+def test_labelings_are_the_words_of_the_size():
+    # a layer tracer counts the items of generator functions
+    assert inspect.isgeneratorfunction(enumerate_labelings)
+    for f in enumerate_forests(3):
+        for mode in ("ordinary", "signed", "even-signed"):
+            assert list(enumerate_labelings(f, mode)) == list(enumerate_words(3, mode))
+
+
 def test_bad_mode():
     with pytest.raises(ValueError):
         list(enumerate_labelings(parse_forest("()"), "weird"))
+
+
+def test_words_reject_bad_arguments():
+    with pytest.raises(ValueError, match="unknown sign mode"):
+        list(enumerate_words(2, "weird"))
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        list(enumerate_words(-1, "signed"))
 
 
 def test_validate_labeling():

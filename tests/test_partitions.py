@@ -1,16 +1,35 @@
 """Type-B partition machinery: membership, series, shift, and the split
 over linear extensions."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from hookforest import formulas, stats, verify
-from hookforest.forest import (chain_forest, enumerate_forests,
+from hookforest.forest import (chain_forest, comparable_pairs, enumerate_forests,
                                enumerate_labelings, hook_lengths, parse_forest)
 from hookforest.qpoly import BiPoly, Series, geometric_series, q_number
 
 DOT = parse_forest("()")
 CHAIN2 = chain_forest(2)
 ANTI2 = parse_forest("()()")
+
+
+def plain_forest_partitions(forest, max_total):
+    """Reference: the vertex maps of weight <= max_total that weakly
+    increase toward the leaves, filtered from the full grid."""
+    pairs = comparable_pairs(forest)
+    return [f for f in itertools.product(range(max_total + 1), repeat=forest.n)
+            if sum(f) <= max_total and all(f[a - 1] <= f[b - 1] for a, b in pairs)]
+
+
+def weight_series(maps, degree):
+    return Series(BiPoly(Counter((0, sum(f)) for f in maps)), degree)
+
+
+def all_negative(n):
+    return tuple(-v for v in range(1, n + 1))
 
 
 def test_membership_conditions():
@@ -97,7 +116,7 @@ def test_forest_partition_product():
     # the unconstrained forest partitions factor over the hooks
     for n in range(4):
         for forest in enumerate_forests(n):
-            series = verify.forest_partition_series(forest, 10)
+            series = weight_series(plain_forest_partitions(forest, 10), 10)
             product = Series(BiPoly.one(), 10)
             for h in hook_lengths(forest)[1:]:
                 product = product * geometric_series(h, 10)
@@ -109,11 +128,20 @@ def test_all_negative_specialization():
     # positive roots: the type-B set is the full forest-partition set
     for n in range(4):
         for forest in enumerate_forests(n):
-            w = tuple(-v for v in range(1, n + 1))
+            w = all_negative(n)
             assert stats.maj_b_forest(forest, w) == 0
             assert (verify.partition_lhs_series(forest, w, 10)
-                    == verify.forest_partition_series(forest, 10))
+                    == weight_series(plain_forest_partitions(forest, 10), 10))
             assert verify.check_decomposition_dec1(forest, w, 6).passed
+
+
+def test_all_negative_partitions_match_the_reference_filter():
+    # same maps, same order as filtering the grid by weak increase alone
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            for bound in range(7):
+                assert (list(verify.enumerate_partitions(forest, all_negative(n), bound))
+                        == plain_forest_partitions(forest, bound))
 
 
 def test_extension_split_identity():

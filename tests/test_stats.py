@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from hookforest import stats
 from hookforest.forest import (chain_forest, enumerate_forests,
-                               enumerate_labelings, parse_forest, remove_root)
+                               enumerate_labelings, enumerate_words, parse_forest,
+                               remove_root)
 
 # word-level expected values: each verified against the bare definitions
 PERM_CASES = [
@@ -148,14 +149,14 @@ def test_chain_reduction_small():
 
 def test_negative_sum_identity_small():
     for n in range(5):
-        for sigma in stats.signed_permutations(n):
+        for sigma in enumerate_words(n, "signed"):
             neg_sum = -sum(v for v in sigma if v < 0)
             assert neg_sum == stats.n1(sigma) + stats.n2(sigma)
 
 
 def test_len_d_two_forms():
     for n in range(7):
-        for sigma in stats.signed_permutations(n):
+        for sigma in enumerate_words(n, "signed"):
             alt = stats.inv(sigma) - sum(v for v in sigma if v < 0) - stats.n1(sigma)
             assert stats.len_d(sigma) == alt
 
@@ -179,9 +180,9 @@ def test_root_removal_recursion_small():
 
 
 def test_enumerators():
-    assert sorted(stats.signed_permutations(1)) == [(-1,), (1,)]
-    assert len(set(stats.signed_permutations(3))) == 48
-    evens = set(stats.even_signed_permutations(3))
+    assert sorted(enumerate_words(1, "signed")) == [(-1,), (1,)]
+    assert len(set(enumerate_words(3, "signed"))) == 48
+    evens = set(enumerate_words(3, "even-signed"))
     assert len(evens) == 24
     assert all(stats.n1(s) % 2 == 0 for s in evens)
     reps = set(stats.increasing_signed_words(2))
