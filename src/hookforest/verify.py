@@ -12,14 +12,13 @@ polynomial equality.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
-from .forest import (Forest, comparable_pairs, decreasing_labeling,
+from .forest import (Forest, chain_forest, comparable_pairs, decreasing_labeling,
                      enumerate_forests, enumerate_labelings, enumerate_words,
                      hook_lengths, labeling_count, linear_extensions)
 from .qpoly import BiPoly, Series
@@ -178,6 +177,11 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"max-n must be nonnegative, got {max_n}")
 
 
+def _check_degree(degree: int) -> None:
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+
+
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
@@ -198,6 +202,7 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
     ``degree`` is the truncation level for the series-based checks.
     """
     row = _theorem(theorem_id)
+    _check_degree(degree)
     if row.scope == "size":
         return _check_size(theorem_id, row, forest.n)
     if row.scope == "labeled":
@@ -273,23 +278,38 @@ def is_partition_b(forest: Forest, w, f: Sequence[int]) -> bool:
     return all(f[r - 1] >= 1 for r in forest.roots if w[r - 1] > 0)
 
 
-def _bounded_grid(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    # every value is bounded by the total, so the grid is complete
-    if n == 0:
-        yield ()
-        return
-    for f in itertools.product(range(max_total + 1), repeat=n):
-        if sum(f) <= max_total:
-            yield f
-
-
 def enumerate_partitions(forest: Forest, w, max_total: int) -> Iterator[tuple[int, ...]]:
-    """Type-B partitions of (F, w) with weight at most max_total."""
+    """Type-B partitions of (F, w) with weight at most max_total, in
+    lexicographic order.
+
+    Stanley's P-partition enumeration, with the type-B root condition:
+    the vertices take values in preorder, each starting at its parent's
+    value, one higher when the parent's label is smaller, and a root at
+    1 when its label is positive and at 0 otherwise.  The parent
+    conditions imply those of every comparable pair.  Every value below
+    a vertex is at least its own, so a value times the hook length must
+    fit in the weight still unassigned.
+    """
     if max_total < 0:
         raise ValueError("weight bound must be nonnegative")
-    for f in _bounded_grid(forest.n, max_total):
-        if is_partition_b(forest, w, f):
-            yield f
+    n, parent = forest.n, forest.parent
+    h = hook_lengths(forest)
+    f = [0] * n
+
+    def rec(v: int, room: int) -> Iterator[tuple[int, ...]]:
+        if v > n:
+            yield tuple(f)
+            return
+        p = parent[v]
+        if p:
+            low = f[p - 1] + (w[p - 1] < w[v - 1])
+        else:
+            low = 1 if w[v - 1] > 0 else 0
+        for x in range(low, room // h[v] + 1):
+            f[v - 1] = x
+            yield from rec(v + 1, room - x)
+
+    yield from rec(1, max_total)
 
 
 def partition_lhs_series(forest: Forest, w, degree: int) -> Series:
@@ -359,22 +379,33 @@ def sigma_compatible(sigma: Sequence[int], fvals: Sequence[int]) -> bool:
 def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     """The type-B partitions split exactly over the linear extensions.
 
-    Each member is compatible with exactly one extension word, and any
-    bounded map compatible with an extension word is a member.
+    The maps compatible with an extension word s are the type-B
+    partitions of the chain labeled by s read backwards; each generated
+    map must be a member and have no other extension, and every member
+    must have one.
     """
-    exts = list(linear_extensions(forest, w))
-    vertex_by_value = {w[v - 1]: v for v in range(1, forest.n + 1)}
+    chain = chain_forest(forest.n)
     label = forest.render()
-    for f in _bounded_grid(forest.n, degree):
-        compat = [s for s in exts
-                  if sigma_compatible(s, tuple(f[vertex_by_value[v] - 1] for v in s))]
-        member = is_partition_b(forest, w, f)
-        if member and len(compat) != 1:
-            return CheckReport("dec1", label, None, None, False,
-                               f"labeling {w}, map {f}: {len(compat)} compatible extensions")
-        if not member and compat:
-            return CheckReport("dec1", label, None, None, False,
-                               f"labeling {w}, map {f}: compatible but not a partition")
+
+    def fail(f, what):
+        return CheckReport("dec1", label, None, None, False, f"labeling {w}, map {f}: {what}")
+
+    owned: set[tuple[int, ...]] = set()
+    for s in linear_extensions(forest, w):
+        position = {value: i for i, value in enumerate(s)}
+        for g in enumerate_partitions(chain, s[::-1], degree):
+            fvals = g[::-1]
+            f = tuple(fvals[position[value]] for value in w)
+            if not sigma_compatible(s, fvals):
+                return fail(f, f"generated for {s} but not compatible with it")
+            if not is_partition_b(forest, w, f):
+                return fail(f, "compatible but not a partition")
+            if f in owned:
+                return fail(f, "2 compatible extensions")
+            owned.add(f)
+    for f in enumerate_partitions(forest, w, degree):
+        if f not in owned:
+            return fail(f, "0 compatible extensions")
     return CheckReport("dec1", label, None, None, True)
 
 
@@ -519,6 +550,7 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     """
     row = _theorem(theorem_id)
     _check_max_n(max_n)
+    _check_degree(degree)
     _check_jobs(jobs)
     reports: list[CheckReport] = []
     for n in range(row.start, max_n + 1):

@@ -181,6 +181,8 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     ("dist", "--forest", "[0,true]", "--stat", "inv-b"),
     ("sweep", "--max-n", "1", "--theorem", "thm-bw", "--jobs", "0"),
     ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "1", "--jobs", "-3"),
+    ("check", "--forest", "(())", "--theorem", "thm-inv-b", "--degree", "-2"),
+    ("sweep", "--max-n", "1", "--theorem", "thm-inv-b", "--degree", "-2"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -2,7 +2,9 @@
 over linear extensions."""
 
 import itertools
+import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -22,6 +24,20 @@ def plain_forest_partitions(forest, max_total):
     pairs = comparable_pairs(forest)
     return [f for f in itertools.product(range(max_total + 1), repeat=forest.n)
             if sum(f) <= max_total and all(f[a - 1] <= f[b - 1] for a, b in pairs)]
+
+
+@lru_cache(maxsize=None)
+def bounded_grid(n, max_total):
+    """Every vertex map of weight <= max_total, in lexicographic order."""
+    return tuple(f for f in itertools.product(range(max_total + 1), repeat=n)
+                 if sum(f) <= max_total)
+
+
+def grid_partitions(forest, w, max_total):
+    """Reference: the type-B partitions filtered from the full grid by
+    the membership test."""
+    return [f for f in bounded_grid(forest.n, max_total)
+            if verify.is_partition_b(forest, w, f)]
 
 
 def weight_series(maps, degree):
@@ -50,6 +66,26 @@ def test_enumerate_partitions_examples():
     assert list(verify.enumerate_partitions(CHAIN2, (1, 2), 1)) == []
     assert list(verify.enumerate_partitions(CHAIN2, (1, 2), 3)) == [(1, 2)]
     assert list(verify.enumerate_partitions(parse_forest(""), (), 2)) == [()]
+
+
+def _grid_cases():
+    cases = [(f.render(), 6) for n in range(5) for f in enumerate_forests(n)]
+    chain, flat = "(" * 5 + ")" * 5, "()" * 5
+    others = [f.render() for f in enumerate_forests(5) if f.render() not in (chain, flat)]
+    return cases + [(p, 4) for p in [chain, flat] + random.Random(6).sample(others, 2)]
+
+
+@pytest.mark.parametrize("paren, max_bound", _grid_cases())
+def test_enumerate_partitions_matches_the_grid(paren, max_bound):
+    # same maps, same order as the grid filter, for every labeling and
+    # bound; dec1 relies on this completeness.  The grid at a smaller
+    # bound is the same lexicographic sequence cut by weight.
+    forest = parse_forest(paren)
+    for w in enumerate_labelings(forest, "signed"):
+        reference = grid_partitions(forest, w, max_bound)
+        for bound in range(max_bound + 1):
+            assert (list(verify.enumerate_partitions(forest, w, bound))
+                    == [f for f in reference if sum(f) <= bound])
 
 
 def test_partition_series_examples():
@@ -87,6 +123,23 @@ def test_partition_shift_bijectivity_small():
                 assert report.passed, report.summary()
 
 
+def test_shift_witnesses(monkeypatch):
+    cases = [
+        # weight-preserving but not injective
+        (ANTI2, lambda forest, w, f: tuple(sorted(f)),
+         "labeling (-1, -2): (1, 0) and (0, 1) collide"),
+        # injective and weight-preserving, but leaves the forest partitions
+        (CHAIN2, lambda forest, w, f: f[::-1],
+         "labeling (-1, -2): image misses some forest partitions"),
+        (DOT, lambda forest, w, f: (0,),
+         "labeling (-1,), map (1,): weight drop is not maj-b"),
+    ]
+    for forest, shift, witness in cases:
+        monkeypatch.setattr(verify, "partition_shift", shift)
+        report = verify.check_partition_shift(forest, all_negative(forest.n), 2)
+        assert not report.passed and report.witness == witness
+
+
 def test_sigma_compatible():
     assert verify.sigma_compatible((), ())
     assert verify.sigma_compatible((2, -1), (1, 0))
@@ -109,6 +162,42 @@ def test_dec1_small():
         for forest in enumerate_forests(n):
             for w in enumerate_labelings(forest, "signed"):
                 report = verify.check_decomposition_dec1(forest, w, 6)
+                assert report.passed, report.summary()
+
+
+def test_dec1_witness_for_a_missing_extension(monkeypatch):
+    exts = verify.linear_extensions
+    monkeypatch.setattr(verify, "linear_extensions", lambda forest, w: list(exts(forest, w))[1:])
+    report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
+    assert not report.passed
+    assert report.witness == "labeling (1, -2), map (1, 1): 0 compatible extensions"
+
+
+def test_dec1_witness_for_a_duplicated_extension(monkeypatch):
+    exts = verify.linear_extensions
+    monkeypatch.setattr(verify, "linear_extensions",
+                        lambda forest, w: (lambda e: e + e[:1])(list(exts(forest, w))))
+    report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
+    assert not report.passed
+    assert report.witness == "labeling (1, -2), map (1, 1): 2 compatible extensions"
+
+
+def test_dec1_witness_for_a_compatible_non_member(monkeypatch):
+    member = verify.is_partition_b
+    monkeypatch.setattr(verify, "is_partition_b",
+                        lambda forest, w, f: f != (2, 0) and member(forest, w, f))
+    report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
+    assert not report.passed
+    assert report.witness == "labeling (1, -2), map (2, 0): compatible but not a partition"
+
+
+@pytest.mark.slow
+def test_partition_checks_exhaustive_n4():
+    assert all(r.passed for r in verify.sweep("lem-partition-gf", 4, degree=10))
+    for forest in enumerate_forests(4):
+        for w in enumerate_labelings(forest, "signed"):
+            for check in (verify.check_decomposition_dec1, verify.check_partition_shift):
+                report = check(forest, w, 10)
                 assert report.passed, report.summary()
 
 

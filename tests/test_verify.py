@@ -70,6 +70,18 @@ def test_check_theorem_unknown_id():
         verify.check_theorem(parse_forest("()"), "thm-nope")
 
 
+def test_negative_degree_is_refused_after_the_id_check():
+    with pytest.raises(KeyError):
+        verify.check_theorem(parse_forest("()"), "thm-nope", degree=-2)
+    with pytest.raises(KeyError):
+        verify.sweep("thm-nope", 1, degree=-2)
+    # refused for every theorem, not only when a series check is reached
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -2$"):
+        verify.check_theorem(parse_forest("(())"), "thm-inv-b", degree=-2)
+    with pytest.raises(ValueError, match="^degree must be nonnegative, got -2$"):
+        verify.sweep("len-b", 1, degree=-2)
+
+
 @pytest.mark.parametrize("theorem", ["thm-bw", "thm-inv-b", "thm-inv-d",
                                      "thm-fmaj", "thm-rmaj",
                                      "thm-bivariate-inv", "thm-bivariate-majB"])
