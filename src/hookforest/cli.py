@@ -19,20 +19,14 @@ from . import formulas, stats, verify
 from .forest import (MODES, Forest, ForestParseError, enumerate_forests,
                      linear_extensions, parse_forest_input, parse_labeling,
                      validate_labeling)
-from .qpoly import BiPoly, Series
+from .qpoly import BiPoly
 
 
 def _print_poly(poly, fmt: str, **extra) -> None:
     if fmt == "human":
         print(poly.render())
     else:
-        record = dict(extra)
-        if isinstance(poly, Series):
-            record["series"] = poly.poly.to_triples()
-            record["degree"] = poly.degree
-        else:
-            record["poly"] = poly.to_triples()
-        print(json.dumps(record))
+        print(json.dumps({**extra, "poly": poly.to_triples()}))
 
 
 def _print_report(report: verify.CheckReport, fmt: str) -> None:
@@ -137,6 +131,7 @@ def cmd_linext(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    verify._check_degree(args.degree)
     forest = _forest_arg(args)
     w = _labeling_arg(args, forest)
     series = verify.partition_lhs_series(forest, w, args.degree)

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 MODES = ("ordinary", "signed", "even-signed")
@@ -35,36 +35,37 @@ class Forest:
     """A plane forest on n vertices in preorder indexing.
 
     ``parent[v]`` is the parent of vertex v, with 0 marking a root;
-    ``children[v]`` lists the children of v in planar order, and
-    ``children[0]`` lists the roots.  Index 0 of ``parent`` is unused.
+    index 0 is unused.  In preorder the parent array alone fixes the
+    plane forest: each vertex's parent lies on the path from a root down
+    to the vertex before it, and the children are derived from it.
     """
 
     n: int
     parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.n
+        n, parent = self.n, self.parent
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if len(self.parent) != n + 1 or len(self.children) != n + 1:
-            raise ValueError("parent/children arrays must have length n + 1")
-        order = []
-        stack = list(reversed(self.children[0]))
-        while stack:
-            v = stack.pop()
-            if not 1 <= v <= n:
-                raise ValueError(f"child index {v} out of range")
-            order.append(v)
-            for c in self.children[v]:
-                if not 1 <= c <= n or self.parent[c] != v:
-                    raise ValueError("parent and children arrays disagree")
-            stack.extend(reversed(self.children[v]))
-        for r in self.children[0]:
-            if self.parent[r] != 0:
-                raise ValueError("roots must have parent marker 0")
-        if order != list(range(1, n + 1)):
-            raise ValueError("vertices are not numbered in depth-first preorder")
+        if len(parent) != n + 1:
+            raise ValueError("parent array must have length n + 1")
+        path: list[int] = []  # from a root down to vertex v - 1
+        for v in range(1, n + 1):
+            while path and path[-1] != parent[v]:
+                path.pop()
+            if parent[v] != 0 and not path:
+                raise ValueError(f"parent {parent[v]!r} of vertex {v} is not on the "
+                                 "preorder path: vertices are not in depth-first preorder")
+            path.append(v)
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """``children[v]`` lists the children of v in planar order, and
+        ``children[0]`` lists the roots."""
+        kids: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for v in range(1, self.n + 1):
+            kids[self.parent[v]].append(v)
+        return tuple(map(tuple, kids))
 
     @property
     def roots(self) -> tuple[int, ...]:
@@ -73,15 +74,14 @@ class Forest:
     def render(self) -> str:
         """Balanced-paren encoding; inverse of parse_forest."""
         out = []
-        stack = [(v, False) for v in reversed(self.children[0])]
-        while stack:
-            v, closing = stack.pop()
-            if closing:
+        path: list[int] = []
+        for v in range(1, self.n + 1):
+            while path and path[-1] != self.parent[v]:
+                path.pop()
                 out.append(")")
-                continue
             out.append("(")
-            stack.append((v, True))
-            stack.extend((c, False) for c in reversed(self.children[v]))
+            path.append(v)
+        out.append(")" * len(path))
         return "".join(out)
 
     def __str__(self) -> str:
@@ -96,15 +96,11 @@ def parse_forest(text: str) -> Forest:
     empty forest.
     """
     parent = [0]
-    children: list[list[int]] = [[]]
     stack = [0]
     for offset, ch in enumerate(text):
         if ch == "(":
-            v = len(parent)
             parent.append(stack[-1])
-            children[stack[-1]].append(v)
-            children.append([])
-            stack.append(v)
+            stack.append(len(parent) - 1)
         elif ch == ")":
             if len(stack) == 1:
                 raise ForestParseError("unmatched ')'", offset)
@@ -113,8 +109,7 @@ def parse_forest(text: str) -> Forest:
             raise ForestParseError(f"unexpected character {ch!r}", offset)
     if len(stack) > 1:
         raise ForestParseError("unclosed '('", len(text))
-    return Forest(n=len(parent) - 1, parent=tuple(parent),
-                  children=tuple(tuple(c) for c in children))
+    return Forest(n=len(parent) - 1, parent=tuple(parent))
 
 
 def forest_from_parents(parents: Sequence[int]) -> Forest:
@@ -144,15 +139,8 @@ def forest_from_parents(parents: Sequence[int]) -> Forest:
     if len(order) != n:
         raise ValueError("parent array contains a cycle")
     new_index = {old: new for new, old in enumerate(order, start=1)}
-    parent = [0] * (n + 1)
-    children: list[tuple[int, ...]] = [()] * (n + 1)
-    children[0] = tuple(new_index[r] for r in kids[0])
-    for old in range(1, n + 1):
-        new = new_index[old]
-        p = parents[old - 1]
-        parent[new] = new_index[p] if p else 0
-        children[new] = tuple(new_index[c] for c in kids[old])
-    return Forest(n=n, parent=tuple(parent), children=tuple(children))
+    new_index[0] = 0
+    return Forest(n=n, parent=(0,) + tuple(new_index[parents[old - 1]] for old in order))
 
 
 def parse_forest_input(text: str) -> Forest:
@@ -178,9 +166,10 @@ def chain_forest(n: int) -> Forest:
 def hook_lengths(forest: Forest) -> tuple[int, ...]:
     """Subtree sizes indexed by vertex (index 0 unused and set to 0)."""
     h = [1] * (forest.n + 1)
-    h[0] = 0
+    # descendants are numbered after v, so h[v] is complete when v is reached
     for v in range(forest.n, 0, -1):
-        h[v] = 1 + sum(h[c] for c in forest.children[v])
+        h[forest.parent[v]] += h[v]
+    h[0] = 0
     return tuple(h)
 
 
@@ -357,14 +346,12 @@ def linear_extensions(forest: Forest, values: Sequence[int]) -> Iterator[tuple[i
 def postorder(forest: Forest) -> list[int]:
     """Vertices with every child before its parent, trees left to right."""
     out: list[int] = []
-    stack = [(v, False) for v in reversed(forest.children[0])]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            out.append(v)
-            continue
-        stack.append((v, True))
-        stack.extend((c, False) for c in reversed(forest.children[v]))
+    path: list[int] = []
+    for v in range(1, forest.n + 1):
+        while path and path[-1] != forest.parent[v]:
+            out.append(path.pop())
+        path.append(v)
+    out.extend(reversed(path))
     return out
 
 

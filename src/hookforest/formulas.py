@@ -25,20 +25,23 @@ def extension_count(forest: Forest) -> int:
     return count
 
 
+def _hook_product(forest: Forest, factor, out=None):
+    """out (by default e(F)) times factor(h_u) for every vertex u."""
+    if out is None:
+        out = BiPoly.term(extension_count(forest))
+    for h in hook_lengths(forest)[1:]:
+        out = out * factor(h)
+    return out
+
+
 def rhs_bw(forest: Forest) -> BiPoly:
     """Ordinary-labeling distribution of inv or maj: e(F) * prod [h_u]."""
-    out = BiPoly.term(extension_count(forest))
-    for h in hook_lengths(forest)[1:]:
-        out = out * q_number(h)
-    return out
+    return _hook_product(forest, q_number)
 
 
 def rhs_inv_b(forest: Forest) -> BiPoly:
     """Signed distribution of inv-b: e(F) * prod [2 h_u]."""
-    out = BiPoly.term(extension_count(forest))
-    for h in hook_lengths(forest)[1:]:
-        out = out * q_number(2 * h)
-    return out
+    return _hook_product(forest, lambda h: q_number(2 * h))
 
 
 def rhs_inv_d(forest: Forest) -> BiPoly:
@@ -49,36 +52,26 @@ def rhs_inv_d(forest: Forest) -> BiPoly:
     """
     if forest.n == 0:
         return BiPoly.one()
-    out = BiPoly.term(extension_count(forest))
-    for h in hook_lengths(forest)[1:]:
-        # for a leaf the binomial factor degenerates to the constant 2
-        out = out * (BiPoly.one() + BiPoly.term(1, q=h - 1)) * q_number(h)
-    return out.div_int(2)
+    # for a leaf the binomial factor degenerates to the constant 2
+    return _hook_product(
+        forest, lambda h: (BiPoly.one() + BiPoly.term(1, q=h - 1)) * q_number(h)).div_int(2)
 
 
 def rhs_bivariate_inv(forest: Forest) -> BiPoly:
     """Joint (negatives, inv-b) distribution: e(F) * prod (1 + t q^h)[h]."""
-    out = BiPoly.term(extension_count(forest))
-    for h in hook_lengths(forest)[1:]:
-        out = out * BiPoly({(0, 0): 1, (1, h): 1}) * q_number(h)
-    return out
+    return _hook_product(forest, lambda h: BiPoly({(0, 0): 1, (1, h): 1}) * q_number(h))
 
 
 def rhs_bivariate_majb(forest: Forest) -> BiPoly:
     """Joint (positives, maj-b) distribution: e(F) * (1+tq)^n * prod [h_u]."""
-    out = BiPoly.term(extension_count(forest)) * BiPoly({(0, 0): 1, (1, 1): 1}) ** forest.n
-    for h in hook_lengths(forest)[1:]:
-        out = out * q_number(h)
-    return out
+    return _hook_product(forest, q_number, BiPoly.term(extension_count(forest))
+                         * BiPoly({(0, 0): 1, (1, 1): 1}) ** forest.n)
 
 
 @lru_cache(maxsize=None)
 def _linext_quotient(forest: Forest) -> BiPoly:
     # [n]! / prod [h_u]; a polynomial with nonnegative integer coefficients
-    den = BiPoly.one()
-    for h in hook_lengths(forest)[1:]:
-        den = den * q_number(h)
-    return q_factorial(forest.n).div_exact_q(den)
+    return q_factorial(forest.n).div_exact_q(_hook_product(forest, q_number, BiPoly.one()))
 
 
 def rhs_linext(forest: Forest, w) -> BiPoly:
@@ -88,10 +81,8 @@ def rhs_linext(forest: Forest, w) -> BiPoly:
 
 def rhs_partition_gf(forest: Forest, w, degree: int) -> Series:
     """Truncated expansion of q^{maj_b(F,w)} / prod (1 - q^{h_u})."""
-    out = Series(BiPoly.term(1, q=stats.maj_b_forest(forest, w)), degree)
-    for h in hook_lengths(forest)[1:]:
-        out = out * geometric_series(h, degree)
-    return out
+    return _hook_product(forest, lambda h: geometric_series(h, degree),
+                         Series(BiPoly.term(1, q=stats.maj_b_forest(forest, w)), degree))
 
 
 def rhs_reiner(n: int) -> BiPoly:

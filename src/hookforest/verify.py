@@ -86,7 +86,8 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
     """
     stat_id, stat_fn = stats.resolve_forest_stat(stat)
     aux_id, aux_fn = stats.resolve_forest_stat(aux) if aux is not None else (None, None)
-    if mode != "even-signed" and stats.EVEN_SIGNED_STAT in (stat_id, aux_id):
+    # ordinary labelings have no negative labels, so they are even-signed
+    if mode == "signed" and stats.EVEN_SIGNED_STAT in (stat_id, aux_id):
         raise ValueError(f"{stats.EVEN_SIGNED_STAT[:-2]} is only defined "
                          "on even-signed labelings")
     if not callable(stat) and not callable(aux):
@@ -457,8 +458,6 @@ def check_mirror(forest: Forest) -> CheckReport:
     accompanying maj-b and positivity identities."""
     label = forest.render()
     rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
-    lhs_terms: dict[tuple[int, int], int] = {}
-    rhs_terms: dict[tuple[int, int], int] = {}
     for w in enumerate_labelings(forest, "signed"):
         w2 = mirror_labeling(forest, w)
         if mirror_labeling(forest, w2) != w:
@@ -476,10 +475,8 @@ def check_mirror(forest: Forest) -> CheckReport:
         if stats.p_forest(forest, w) != stats.n1_forest(forest, w2):
             return CheckReport("mirror", label, None, None, False,
                                f"labeling {w}: positives do not mirror to negatives")
-        lhs_terms[(0, r)] = lhs_terms.get((0, r), 0) + 1
-        key = (0, fmaj(forest, w))
-        rhs_terms[key] = rhs_terms.get(key, 0) + 1
-    return CheckReport("mirror", label, BiPoly(lhs_terms), BiPoly(rhs_terms), True)
+    return CheckReport("mirror", label, distribution(forest, "rmaj"),
+                       distribution(forest, "fmaj"), True)
 
 
 def coset_decompose(sigma: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

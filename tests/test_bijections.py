@@ -87,9 +87,12 @@ def test_mirror_is_an_involution(n, data):
 
 
 def test_mirror_check_reports():
-    for n in range(4):
+    rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
+    for n in range(5):
         for forest in enumerate_forests(n):
             report = verify.check_mirror(forest)
             assert report.passed, report.summary()
-            if n:
-                assert report.lhs == report.rhs  # rmaj and fmaj distributions
+            # the rmaj and fmaj distributions, against brute-force tallies
+            assert report.lhs == verify.distribution(forest, rmaj, "signed")
+            assert report.rhs == verify.distribution(forest, fmaj, "signed")
+            assert report.lhs == report.rhs

@@ -128,6 +128,13 @@ def test_partitions(capsys):
     assert "PASS dec1" in out
 
 
+def test_partitions_negative_degree(capsys):
+    code, out, err = run(capsys, "partitions", "--forest", "(())", "--labeling=-1,2",
+                         "--degree", "-2")
+    assert code == 2 and out == ""
+    assert err == "error: degree must be nonnegative, got -2\n"
+
+
 def test_bijections(capsys):
     code, out, _ = run(capsys, "bijections", "--max-n", "2")
     assert code == 0
@@ -138,6 +145,14 @@ def test_bijections(capsys):
 def test_counterexample_none(capsys):
     code, out, _ = run(capsys, "counterexample", "--stat", "inv-b", "--vs", "fmaj",
                        "--mode", "signed", "--max-n", "3")
+    assert code == 0
+    assert out.startswith("none")
+
+
+def test_counterexample_inv_d_on_ordinary_labelings(capsys):
+    # ordinary labelings are even-signed, and there inv-d is inv
+    code, out, _ = run(capsys, "counterexample", "--stat", "inv-d", "--vs", "inv",
+                       "--mode", "ordinary", "--max-n", "2")
     assert code == 0
     assert out.startswith("none")
 

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import random
 
 import pytest
 
@@ -118,11 +119,69 @@ def test_parent_array_errors():
 
 
 def test_direct_construction_validates():
-    with pytest.raises(ValueError):
-        # children say 2 hangs under 1, parent array says it is a root
-        Forest(n=2, parent=(0, 0, 0), children=((1,), (2,), ()))
-    with pytest.raises(ValueError):
-        Forest(n=2, parent=(0, 0, 1), children=((2,), (), (1,)))  # not preorder
+    with pytest.raises(ValueError, match="preorder"):
+        Forest(n=2, parent=(0, 2, 0))  # a parent numbered after its child
+    with pytest.raises(ValueError, match="preorder"):
+        Forest(n=3, parent=(0, 0, 0, 1))  # vertex 3 under root 1, after root 2
+    with pytest.raises(ValueError, match="length"):
+        Forest(n=2, parent=(0, 0))
+
+
+def test_constructor_accepts_exactly_the_preorder_parent_arrays():
+    for n in range(6):
+        accepted = set()
+        for arr in itertools.product(range(n + 1), repeat=n):
+            try:
+                accepted.add(Forest(n, (0,) + arr).parent)
+            except ValueError:
+                pass
+        assert accepted == {f.parent for f in enumerate_forests(n)}
+
+
+def reference_render(parents):
+    # children in increasing original index, trees by root index
+    def tree(v):
+        kids = [c for c in range(1, len(parents) + 1) if parents[c - 1] == v]
+        return "(" + "".join(tree(c) for c in kids) + ")"
+    return "".join(tree(r) for r in range(1, len(parents) + 1) if parents[r - 1] == 0)
+
+
+def test_parent_arrays_in_any_numbering_match_a_recursive_reference():
+    rng = random.Random(2010)
+    for n in range(7):
+        for f in enumerate_forests(n):
+            for _ in range(3):
+                new = [0] + rng.sample(range(1, n + 1), n)  # new[v]: v's new index
+                parents = [0] * n
+                for v in range(1, n + 1):
+                    parents[new[v] - 1] = new[f.parent[v]]
+                g = forest_from_parents(parents)
+                ref = parse_forest(reference_render(parents))
+                assert g.render() == ref.render()
+                assert g == ref and hash(g) == hash(ref)
+            # point a root at a vertex of its own tree
+            roots = [v for v in range(1, n + 1) if f.parent[v] == 0 and hook_lengths(f)[v] > 1]
+            if roots:
+                r = rng.choice(roots)
+                parents = list(f.parent[1:])
+                parents[r - 1] = rng.randrange(r + 1, r + hook_lengths(f)[r])
+                with pytest.raises(ValueError, match="cycle"):
+                    forest_from_parents(parents)
+
+
+def test_children_postorder_and_hooks_match_references():
+    for n in range(7):
+        for f in enumerate_forests(n):
+            kids = [tuple(c for c in range(1, n + 1) if f.parent[c] == v) for v in range(n + 1)]
+            assert f.children == tuple(kids) and f.roots == kids[0]
+
+            def post(v):
+                for c in kids[v]:
+                    yield from post(c)
+                yield v
+            assert postorder(f) == [u for r in kids[0] for u in post(r)]
+            for v in range(1, n + 1):
+                assert hook_lengths(f)[v] == sum(1 for _ in post(v))
 
 
 def test_is_strict_ancestor():

@@ -42,6 +42,14 @@ def test_distribution_mode_compatibility():
     assert verify.distribution(chain2, "inv-d-f", "even-signed") == q_number(2) ** 2
 
 
+def test_inv_d_on_ordinary_labelings_is_inv():
+    # no negative labels: ordinary labelings are even-signed and n2 vanishes
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            assert (verify.distribution(forest, "inv-d", "ordinary")
+                    == verify.distribution(forest, "inv", "ordinary"))
+
+
 def test_distribution_with_aux():
     dot = parse_forest("()")
     d = verify.distribution(dot, "inv-b-f", "signed", aux="n1-f")
@@ -241,7 +249,7 @@ def _cases():
     """Every (stat, mode, aux) with aux in {None, n1-f, p-f} where defined."""
     for mode in ("ordinary", "signed", "even-signed"):
         for stat in stats.FOREST_STATS:
-            if stat == "inv-d-f" and mode != "even-signed":
+            if stat == "inv-d-f" and mode == "signed":
                 continue
             for aux in (None, "n1-f", "p-f"):
                 yield stat, mode, aux
