@@ -10,21 +10,19 @@ ancestor-chain dynamic program of ``chaindp``.
 
 from . import formulas, stats, verify
 from .forest import (MODES, Forest, ForestParseError, chain_forest,
-                     decreasing_labeling, enumerate_forests,
-                     enumerate_labelings, enumerate_words, forest_from_parents,
-                     hook_lengths, is_strict_ancestor, linear_extensions,
-                     parse_forest, parse_forest_input)
+                     enumerate_forests, enumerate_labelings, enumerate_words,
+                     forest_from_parents, hook_lengths, is_strict_ancestor,
+                     linear_extensions, parse_forest, parse_forest_input)
 from .qpoly import BiPoly, Series, geometric_series, q_factorial, q_number
 from .verify import (CheckReport, check_theorem, counterexample_search,
                      distribution, sweep)
 
 __all__ = [
     "MODES", "Forest", "ForestParseError", "chain_forest",
-    "decreasing_labeling", "enumerate_forests", "enumerate_labelings",
-    "enumerate_words", "forest_from_parents", "hook_lengths",
-    "is_strict_ancestor", "linear_extensions", "parse_forest",
-    "parse_forest_input", "BiPoly", "Series", "geometric_series",
-    "q_factorial", "q_number", "CheckReport", "check_theorem",
-    "counterexample_search", "distribution", "sweep", "formulas", "stats",
-    "verify",
+    "enumerate_forests", "enumerate_labelings", "enumerate_words",
+    "forest_from_parents", "hook_lengths", "is_strict_ancestor",
+    "linear_extensions", "parse_forest", "parse_forest_input", "BiPoly",
+    "Series", "geometric_series", "q_factorial", "q_number", "CheckReport",
+    "check_theorem", "counterexample_search", "distribution", "sweep",
+    "formulas", "stats", "verify",
 ]

@@ -11,6 +11,7 @@ built on the [t-exp, q-exp, coeff] triple encoding of polynomials.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -196,6 +197,7 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hookforest",
@@ -274,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ForestParseError as exc:

@@ -49,6 +49,9 @@ class Forest:
             raise ValueError("vertex count must be nonnegative")
         if len(parent) != n + 1:
             raise ValueError("parent array must have length n + 1")
+        if parent[0] != 0:
+            raise ValueError(f"slot 0 of the parent array is unused and must be 0, "
+                             f"got {parent[0]!r}")
         path: list[int] = []  # from a root down to vertex v - 1
         for v in range(1, n + 1):
             while path and path[-1] != parent[v]:
@@ -341,30 +344,6 @@ def linear_extensions(forest: Forest, values: Sequence[int]) -> Iterator[tuple[i
             avail.append(v)
 
     yield from rec()
-
-
-def postorder(forest: Forest) -> list[int]:
-    """Vertices with every child before its parent, trees left to right."""
-    out: list[int] = []
-    path: list[int] = []
-    for v in range(1, forest.n + 1):
-        while path and path[-1] != forest.parent[v]:
-            out.append(path.pop())
-        path.append(v)
-    out.extend(reversed(path))
-    return out
-
-
-def decreasing_labeling(forest: Forest) -> tuple[int, ...]:
-    """Canonical ordinary labeling that decreases from roots toward leaves.
-
-    Value k goes to the k-th vertex in postorder, so every vertex gets a
-    larger label than everything in its subtree.
-    """
-    w = [0] * forest.n
-    for value, v in enumerate(postorder(forest), start=1):
-        w[v - 1] = value
-    return tuple(w)
 
 
 def remove_root(forest: Forest) -> Forest:

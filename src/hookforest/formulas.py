@@ -64,8 +64,7 @@ def rhs_bivariate_inv(forest: Forest) -> BiPoly:
 
 def rhs_bivariate_majb(forest: Forest) -> BiPoly:
     """Joint (positives, maj-b) distribution: e(F) * (1+tq)^n * prod [h_u]."""
-    return _hook_product(forest, q_number, BiPoly.term(extension_count(forest))
-                         * BiPoly({(0, 0): 1, (1, 1): 1}) ** forest.n)
+    return _hook_product(forest, q_number) * BiPoly({(0, 0): 1, (1, 1): 1}) ** forest.n
 
 
 @lru_cache(maxsize=None)
@@ -79,30 +78,14 @@ def rhs_linext(forest: Forest, w) -> BiPoly:
     return _linext_quotient(forest).shift_q(stats.maj_b_forest(forest, w))
 
 
+@lru_cache(maxsize=None)
+def _partition_product(forest: Forest, degree: int) -> Series:
+    # prod 1 / (1 - q^{h_u}), truncated at the degree
+    return _hook_product(forest, lambda h: geometric_series(h, degree),
+                         Series(BiPoly.one(), degree))
+
+
 def rhs_partition_gf(forest: Forest, w, degree: int) -> Series:
     """Truncated expansion of q^{maj_b(F,w)} / prod (1 - q^{h_u})."""
-    return _hook_product(forest, lambda h: geometric_series(h, degree),
-                         Series(BiPoly.term(1, q=stats.maj_b_forest(forest, w)), degree))
-
-
-def rhs_reiner(n: int) -> BiPoly:
-    """(1+tq)^n [n]!: the joint distribution of both major-index pairs."""
-    return BiPoly({(0, 0): 1, (1, 1): 1}) ** n * q_factorial(n)
-
-
-def rhs_len_b(n: int) -> BiPoly:
-    """[2][4]...[2n], the length generating function of signed permutations."""
-    out = BiPoly.one()
-    for k in range(1, n + 1):
-        out = out * q_number(2 * k)
-    return out
-
-
-def rhs_len_d(n: int) -> BiPoly:
-    """[2][4]...[2n-2][n], the length generating function of even-signed ones."""
-    if n == 0:
-        return BiPoly.one()
-    out = BiPoly.one()
-    for k in range(1, n):
-        out = out * q_number(2 * k)
-    return out * q_number(n)
+    majb = stats.maj_b_forest(forest, w)
+    return Series(_partition_product(forest, degree).poly.shift_q(majb), degree)

@@ -18,9 +18,9 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
-from .forest import (Forest, chain_forest, comparable_pairs, decreasing_labeling,
-                     enumerate_forests, enumerate_labelings, enumerate_words,
-                     hook_lengths, labeling_count, linear_extensions)
+from .forest import (Forest, chain_forest, comparable_pairs, enumerate_forests,
+                     enumerate_labelings, enumerate_words, hook_lengths,
+                     labeling_count, linear_extensions)
 from .qpoly import BiPoly, Series
 
 
@@ -120,11 +120,12 @@ class Theorem:
     ``scope`` is "forest" (checked on a forest), "size" (on the signed
     words of size forest.n) or "labeled" (on every signed labeling of a
     forest, summed).  ``rhs`` names the labeling-free closed form in
-    ``formulas``, taking the forest or the size, and is None when there
-    is none.  ``lhs`` is either a tuple of (stat, aux) sides, each of
-    whose distributions over the labelings or words of ``mode`` must
-    equal the closed form, or a function: (forest, labeling, degree) ->
-    (lhs, rhs) for the labeled scope, forest -> CheckReport otherwise.
+    ``formulas``, a forest product that a size-level row evaluates on
+    the chain of its size, and is None when there is none.  ``lhs`` is
+    either a tuple of (stat, aux) sides, each of whose distributions
+    over the labelings or words of ``mode`` must equal the closed form,
+    or a function: (forest, labeling, degree) -> (lhs, rhs) for the
+    labeled scope, forest -> CheckReport otherwise.
     A sweep checks sizes ``start`` and up.
     """
 
@@ -158,9 +159,9 @@ THEOREMS = {
     "thm-bivariate-majB": Theorem("forest", "rhs_bivariate_majb", (("maj-b", "p"),)),
     "thm-le1": Theorem("labeled", None, _linext_pair),
     "lem-partition-gf": Theorem("labeled", None, _partition_pair),
-    "eq-reiner": Theorem("size", "rhs_reiner", (("maj-r", "n1"), ("maj-b", "p"))),
-    "len-b": Theorem("size", "rhs_len_b", (("len-b", None),)),
-    "len-d": Theorem("size", "rhs_len_d", (("len-d", None),), mode="even-signed"),
+    "eq-reiner": Theorem("size", "rhs_bivariate_majb", (("maj-r", "n1"), ("maj-b", "p"))),
+    "len-b": Theorem("size", "rhs_inv_b", (("len-b", None),)),
+    "len-d": Theorem("size", "rhs_inv_d", (("len-d", None),), mode="even-signed"),
     "eq-even-odd": Theorem("forest", None, lambda forest: check_even_odd(forest), start=1),
     "eq-coset-fmaj": Theorem("forest", None, lambda forest: check_fmaj_coset_identity(forest)),
 }
@@ -190,11 +191,11 @@ def _check_jobs(jobs: int) -> None:
 
 def closed_form(theorem_id: str, forest: Forest) -> Optional[BiPoly]:
     """The theorem's labeling-free closed form on the forest (size-level
-    ids use forest.n), or None when it has none."""
+    ids on the chain of size forest.n), or None when it has none."""
     row = _theorem(theorem_id)
     if row.rhs is None:
         return None
-    return getattr(formulas, row.rhs)(forest.n if row.scope == "size" else forest)
+    return getattr(formulas, row.rhs)(chain_forest(forest.n) if row.scope == "size" else forest)
 
 
 def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckReport:
@@ -219,7 +220,8 @@ def _check_size(theorem_id: str, row: Theorem, n: int) -> CheckReport:
     perm = stats.PERM_STATS
     sides = _distributions(enumerate_words(n, row.mode),
                            [(perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
-    return _check_sides(theorem_id, row, f"n={n}", getattr(formulas, row.rhs)(n), sides)
+    return _check_sides(theorem_id, row, f"n={n}",
+                        getattr(formulas, row.rhs)(chain_forest(n)), sides)
 
 
 def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
@@ -486,14 +488,6 @@ def coset_decompose(sigma: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, .
     rank = {v: i for i, v in enumerate(tau, start=1)}
     pi = tuple(rank[v] for v in sigma)
     return tau, pi
-
-
-def t_n_labelings(forest: Forest) -> list[tuple[int, ...]]:
-    """The coset-representative labelings: each increasing signed word
-    pulled back through the canonical decreasing labeling."""
-    w0 = decreasing_labeling(forest)
-    return [tuple(tau[v - 1] for v in w0)
-            for tau in stats.increasing_signed_words(forest.n)]
 
 
 def check_fmaj_coset_identity(forest: Forest) -> CheckReport:

@@ -76,10 +76,10 @@ def test_criterion_03_length_generating_functions():
         for n in range(8):
             by_len_b = _histogram((0, stats.len_b(s))
                                   for s in enumerate_words(n, "signed"))
-            ok = ok and by_len_b == formulas.rhs_len_b(n)
+            ok = ok and by_len_b == verify.closed_form("len-b", chain_forest(n))
             by_len_d = _histogram((0, stats.len_d(s))
                                   for s in enumerate_words(n, "even-signed"))
-            ok = ok and by_len_d == formulas.rhs_len_d(n)
+            ok = ok and by_len_d == verify.closed_form("len-d", chain_forest(n))
     _report("3 (signed and even-signed length generating functions, n<=7)",
             ok, t.elapsed)
 

@@ -34,7 +34,7 @@ def test_psi_check_reports():
 
 def test_psi_failure_names_the_failing_side(monkeypatch):
     # check_psi reuses the eq-reiner check, witness prefix included
-    monkeypatch.setattr(verify.formulas, "rhs_reiner", lambda n: BiPoly.one())
+    monkeypatch.setattr(verify.formulas, "rhs_bivariate_majb", lambda forest: BiPoly.one())
     report = verify.check_psi(2)
     assert report.theorem == "psi" and not report.passed
     assert report.witness.startswith("(n1, maj-r) side: coefficient")

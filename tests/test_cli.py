@@ -111,6 +111,22 @@ def test_sweep_jobs_deterministic(capsys):
     assert serial == threaded
 
 
+def test_one_parser_serves_every_call(capsys):
+    # a usage error leaves the cached parser usable for the calls after it
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "check", "--theorem", "len-b")
+    assert exc.value.code == 2 and "--forest" in capsys.readouterr().err
+    code, out, err = run(capsys, "check", "--forest", "()", "--theorem", "thm-nope")
+    assert code == 2 and out == "" and "unknown theorem id 'thm-nope'" in err
+    code, out, _ = run(capsys, "check", "--forest", "(())", "--theorem", "len-b")
+    assert code == 0 and out.startswith("PASS len-b forest='n=2'\n")
+    code, out, _ = run(capsys, "sweep", "--max-n", "2", "--theorem", "eq-reiner")
+    assert code == 0
+    assert out == "".join(f"PASS eq-reiner forest='n={n}'\n" for n in range(3)) + \
+        "3 checks, 0 failures\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_linext(capsys):
     code, out, _ = run(capsys, "linext", "--forest", "()()", "--labeling=2,-1")
     assert code == 0

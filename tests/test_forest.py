@@ -6,12 +6,12 @@ import random
 import pytest
 
 from hookforest.forest import (Forest, ForestParseError, chain_forest,
-                               comparable_pairs, decreasing_labeling,
-                               enumerate_forests, enumerate_labelings,
-                               enumerate_words, forest_from_parents, hook_lengths,
+                               comparable_pairs, enumerate_forests,
+                               enumerate_labelings, enumerate_words,
+                               forest_from_parents, hook_lengths,
                                is_strict_ancestor, labeling_count,
                                linear_extensions, parse_forest,
-                               parse_forest_input, parse_labeling, postorder,
+                               parse_forest_input, parse_labeling,
                                remove_root, validate_labeling)
 
 
@@ -125,14 +125,19 @@ def test_direct_construction_validates():
         Forest(n=3, parent=(0, 0, 0, 1))  # vertex 3 under root 1, after root 2
     with pytest.raises(ValueError, match="length"):
         Forest(n=2, parent=(0, 0))
+    # an unused slot 0 other than 0 would render as (()) but differ from it
+    with pytest.raises(ValueError, match="slot 0"):
+        Forest(n=2, parent=(5, 0, 1))
 
 
 def test_constructor_accepts_exactly_the_preorder_parent_arrays():
     for n in range(6):
+        # a nonzero unused slot 0 is tried up to n = 3
+        slot0 = range(n + 2) if n <= 3 else (0,)
         accepted = set()
-        for arr in itertools.product(range(n + 1), repeat=n):
+        for arr in itertools.product(slot0, *[range(n + 1)] * n):
             try:
-                accepted.add(Forest(n, (0,) + arr).parent)
+                accepted.add(Forest(n, arr).parent)
             except ValueError:
                 pass
         assert accepted == {f.parent for f in enumerate_forests(n)}
@@ -169,7 +174,7 @@ def test_parent_arrays_in_any_numbering_match_a_recursive_reference():
                     forest_from_parents(parents)
 
 
-def test_children_postorder_and_hooks_match_references():
+def test_children_and_hooks_match_references():
     for n in range(7):
         for f in enumerate_forests(n):
             kids = [tuple(c for c in range(1, n + 1) if f.parent[c] == v) for v in range(n + 1)]
@@ -179,7 +184,6 @@ def test_children_postorder_and_hooks_match_references():
                 for c in kids[v]:
                     yield from post(c)
                 yield v
-            assert postorder(f) == [u for r in kids[0] for u in post(r)]
             for v in range(1, n + 1):
                 assert hook_lengths(f)[v] == sum(1 for _ in post(v))
 
@@ -338,22 +342,6 @@ def test_labelings_containing_fixed_extension():
                     counts[pi] = counts.get(pi, 0) + 1
             for pi in itertools.permutations(range(1, n + 1)):
                 assert counts.get(pi, 0) == expected
-
-
-def test_postorder_and_decreasing_labeling():
-    star = parse_forest("(()())")
-    assert postorder(star) == [2, 3, 1]
-    assert decreasing_labeling(star) == (3, 1, 2)
-    assert decreasing_labeling(parse_forest("()")) == (1,)
-    assert decreasing_labeling(parse_forest("(())")) == (2, 1)
-
-
-def test_decreasing_labeling_decreases_everywhere():
-    for n in range(6):
-        for f in enumerate_forests(n):
-            w = decreasing_labeling(f)
-            for a, b in comparable_pairs(f):
-                assert w[a - 1] > w[b - 1]
 
 
 def test_remove_root():

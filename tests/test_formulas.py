@@ -103,31 +103,45 @@ def test_rhs_partition_gf():
 
 def test_rhs_reiner():
     one_tq = tq({(0, 0): 1, (1, 1): 1})
-    assert formulas.rhs_reiner(0) == BiPoly.one()
-    assert formulas.rhs_reiner(1) == one_tq
-    assert formulas.rhs_reiner(2) == one_tq ** 2 * q_number(2)
-    # both sides of the Reiner row, (p, maj-b) included, meet this closed form
+
+    def reiner(n):
+        return verify.closed_form("eq-reiner", chain_forest(n))
+    assert reiner(0) == BiPoly.one()
+    assert reiner(1) == one_tq
+    assert reiner(2) == one_tq ** 2 * q_number(2)
+    assert reiner(3) == one_tq ** 3 * q_factorial(3)
+    # both sides of the Reiner row, (p, maj-b) included, meet the
+    # (positives, maj-b) product of the chain
     row = verify.THEOREMS["eq-reiner"]
-    assert row.rhs == "rhs_reiner" and ("maj-b", "p") in row.lhs
-    assert verify.closed_form("eq-reiner", chain_forest(3)) == formulas.rhs_reiner(3)
+    assert row.rhs == "rhs_bivariate_majb" and ("maj-b", "p") in row.lhs
 
 
 def test_rhs_length_generating_functions():
-    assert formulas.rhs_len_b(0) == BiPoly.one()
-    assert formulas.rhs_len_b(1) == q_number(2)
-    assert formulas.rhs_len_b(2) == q_number(2) * q_number(4)
-    assert formulas.rhs_len_b(3) == q_number(2) * q_number(4) * q_number(6)
-    assert formulas.rhs_len_d(0) == BiPoly.one()
-    assert formulas.rhs_len_d(1) == BiPoly.one()
-    assert formulas.rhs_len_d(2) == q_number(2) * q_number(2)
-    assert formulas.rhs_len_d(3) == q_number(2) * q_number(4) * q_number(3)
+    def len_b(n):
+        return verify.closed_form("len-b", chain_forest(n))
+
+    def len_d(n):
+        return verify.closed_form("len-d", chain_forest(n))
+    assert len_b(0) == BiPoly.one()
+    assert len_b(1) == q_number(2)
+    assert len_b(2) == q_number(2) * q_number(4)
+    assert len_b(3) == q_number(2) * q_number(4) * q_number(6)
+    assert len_d(0) == BiPoly.one()
+    assert len_d(1) == BiPoly.one()
+    assert len_d(2) == q_number(2) * q_number(2)
+    assert len_d(3) == q_number(2) * q_number(4) * q_number(3)
 
 
 def test_chain_specialization():
     for n in range(9):
         chain = chain_forest(n)
-        assert formulas.rhs_inv_b(chain) == formulas.rhs_len_b(n)
-        assert formulas.rhs_inv_d(chain) == formulas.rhs_len_d(n)
+        # [2][4]...[2n] and [2][4]...[2n-2][n], built by hand
+        len_b = len_d = BiPoly.one()
+        for k in range(1, n + 1):
+            len_b = len_b * q_number(2 * k)
+            len_d = len_d * (q_number(2 * k) if k < n else q_number(n))
+        assert formulas.rhs_inv_b(chain) == len_b
+        assert formulas.rhs_inv_d(chain) == len_d
         assert formulas.rhs_bw(chain) == q_factorial(n)
 
 

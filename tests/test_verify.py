@@ -141,20 +141,6 @@ def test_coset_identity_small():
             assert verify.check_fmaj_coset_identity(forest).passed
 
 
-def test_t_n_labelings():
-    star = parse_forest("(()())")
-    reps = verify.t_n_labelings(star)
-    assert len(reps) == 8
-    assert len(set(reps)) == 8
-    # reading a representative along the decreasing labeling recovers an
-    # increasing signed word
-    from hookforest.forest import decreasing_labeling
-    w0 = list(decreasing_labeling(star))
-    for rep in reps:
-        word = [rep[w0.index(k)] for k in (1, 2, 3)]
-        assert word == sorted(word)
-
-
 def test_sweep_orders_and_jobs():
     serial = verify.sweep("thm-inv-b", 3, jobs=1)
     threaded = verify.sweep("thm-inv-b", 3, jobs=4)
