@@ -135,8 +135,7 @@ def cmd_partitions(args) -> int:
     verify._check_degree(args.degree)
     forest = _forest_arg(args)
     w = _labeling_arg(args, forest)
-    series = verify.partition_lhs_series(forest, w, args.degree)
-    closed = formulas.rhs_partition_gf(forest, w, args.degree)
+    series, closed = verify._partition_pair(forest, w, args.degree)
     dec = verify.check_decomposition_dec1(forest, w, args.degree)
     passed = series == closed and dec.passed
     if args.format == "records":

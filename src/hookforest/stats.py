@@ -167,10 +167,11 @@ def n2_forest(forest: Forest, w: Word) -> int:
 
 
 def descents_b_forest(forest: Forest, w: Word) -> tuple[int, ...]:
-    """Descents together with the positively labeled roots."""
-    des = set(descents_forest(forest, w))
-    des.update(r for r in forest.roots if w[r - 1] > 0)
-    return tuple(sorted(des))
+    """Descents together with the positively labeled roots: a root's
+    parent label counts as 0, the sentinel of maj_b."""
+    parent = forest.parent
+    return tuple(v for v in range(1, forest.n + 1)
+                 if w[v - 1] > (w[parent[v] - 1] if parent[v] else 0))
 
 
 def maj_b_forest(forest: Forest, w: Word) -> int:

@@ -321,6 +321,18 @@ def partition_lhs_series(forest: Forest, w, degree: int) -> Series:
     return Series(counts, degree)
 
 
+def _shift_by(forest: Forest, w) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The shift of (F, w) as the map f -> f - d, where d[v] counts the
+    type-B descents among v and its ancestors, built in one preorder pass."""
+    descents = set(stats.descents_b_forest(forest, w))
+    parent = forest.parent
+    d = [0] * (forest.n + 1)
+    for v in range(1, forest.n + 1):
+        d[v] = d[parent[v]] + (v in descents)
+    drop = d[1:]
+    return lambda f: tuple(x - y for x, y in zip(f, drop))
+
+
 def partition_shift(forest: Forest, w, f: Sequence[int]) -> tuple[int, ...]:
     """Subtract 1 on the principal ideal below each type-B descent.
 
@@ -330,25 +342,22 @@ def partition_shift(forest: Forest, w, f: Sequence[int]) -> tuple[int, ...]:
     """
     if not is_partition_b(forest, w, f):
         raise ValueError("not a type-B partition for this labeling")
-    h = hook_lengths(forest)
-    out = list(f)
-    for u in stats.descents_b_forest(forest, w):
-        for v in range(u, u + h[u]):
-            out[v - 1] -= 1
+    out = _shift_by(forest, w)(f)
     # membership guarantees enough room above every descent
     if any(v < 0 for v in out):
         raise RuntimeError(f"shifting {tuple(f)} below the type-B descents of {tuple(w)} "
-                           f"left a negative value: {tuple(out)}")
-    return tuple(out)
+                           f"left a negative value: {out}")
+    return out
 
 
 def check_partition_shift(forest: Forest, w, degree: int) -> CheckReport:
     """The shift is weight-compatible and bijective onto forest partitions."""
     majb = stats.maj_b_forest(forest, w)
     label = forest.render()
+    shift = _shift_by(forest, w)
     images: dict[tuple[int, ...], tuple[int, ...]] = {}
     for f in enumerate_partitions(forest, w, degree):
-        g = partition_shift(forest, w, f)
+        g = shift(f)
         if sum(f) != majb + sum(g):
             return CheckReport("partition-shift", label, None, None, False,
                                f"labeling {w}, map {f}: weight drop is not maj-b")
@@ -367,25 +376,13 @@ def check_partition_shift(forest: Forest, w, degree: int) -> CheckReport:
     return CheckReport("partition-shift", label, None, None, True)
 
 
-def sigma_compatible(sigma: Sequence[int], fvals: Sequence[int]) -> bool:
-    """Weakly decreasing along the word, strict at natural descents,
-    and >= 1 at the end when the word ends positive."""
-    n = len(sigma)
-    for i in range(n - 1):
-        if fvals[i] < fvals[i + 1]:
-            return False
-        if fvals[i] == fvals[i + 1] and sigma[i] > sigma[i + 1]:
-            return False
-    return not (n and sigma[-1] > 0 and fvals[-1] < 1)
-
-
 def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     """The type-B partitions split exactly over the linear extensions.
 
     The maps compatible with an extension word s are the type-B
-    partitions of the chain labeled by s read backwards; each generated
-    map must be a member and have no other extension, and every member
-    must have one.
+    partitions of the chain labeled by s read backwards; each map
+    generated for s must be one of them, be a member and have no other
+    extension, and every member must have one.
     """
     chain = chain_forest(forest.n)
     label = forest.render()
@@ -395,11 +392,11 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
 
     owned: set[tuple[int, ...]] = set()
     for s in linear_extensions(forest, w):
-        position = {value: i for i, value in enumerate(s)}
-        for g in enumerate_partitions(chain, s[::-1], degree):
-            fvals = g[::-1]
-            f = tuple(fvals[position[value]] for value in w)
-            if not sigma_compatible(s, fvals):
+        backwards = s[::-1]
+        position = {value: i for i, value in enumerate(backwards)}
+        for g in enumerate_partitions(chain, backwards, degree):
+            f = tuple(g[position[value]] for value in w)
+            if not is_partition_b(chain, backwards, g):
                 return fail(f, f"generated for {s} but not compatible with it")
             if not is_partition_b(forest, w, f):
                 return fail(f, "compatible but not a partition")

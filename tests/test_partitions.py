@@ -123,32 +123,55 @@ def test_partition_shift_bijectivity_small():
                 assert report.passed, report.summary()
 
 
+def subtree_shift(forest, w, f):
+    """Reference: subtract 1 on the subtree of each type-B descent."""
+    h = hook_lengths(forest)
+    out = list(f)
+    for u in stats.descents_b_forest(forest, w):
+        for v in range(u, u + h[u]):
+            out[v - 1] -= 1
+    return tuple(out)
+
+
+def test_partition_shift_matches_the_subtree_loop():
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            for w in enumerate_labelings(forest, "signed"):
+                for f in verify.enumerate_partitions(forest, w, 6):
+                    assert verify.partition_shift(forest, w, f) == subtree_shift(forest, w, f)
+
+
 def test_shift_witnesses(monkeypatch):
     cases = [
         # weight-preserving but not injective
-        (ANTI2, lambda forest, w, f: tuple(sorted(f)),
+        (ANTI2, lambda f: tuple(sorted(f)),
          "labeling (-1, -2): (1, 0) and (0, 1) collide"),
         # injective and weight-preserving, but leaves the forest partitions
-        (CHAIN2, lambda forest, w, f: f[::-1],
+        (CHAIN2, lambda f: f[::-1],
          "labeling (-1, -2): image misses some forest partitions"),
-        (DOT, lambda forest, w, f: (0,),
+        (DOT, lambda f: (0,),
          "labeling (-1,), map (1,): weight drop is not maj-b"),
     ]
     for forest, shift, witness in cases:
-        monkeypatch.setattr(verify, "partition_shift", shift)
+        monkeypatch.setattr(verify, "_shift_by", lambda forest, w: shift)
         report = verify.check_partition_shift(forest, all_negative(forest.n), 2)
         assert not report.passed and report.witness == witness
 
 
 def test_sigma_compatible():
-    assert verify.sigma_compatible((), ())
-    assert verify.sigma_compatible((2, -1), (1, 0))
-    assert not verify.sigma_compatible((2, -1), (1, 1))  # descent needs strict
-    assert not verify.sigma_compatible((2, -1), (0, 1))  # must not increase
-    assert verify.sigma_compatible((-1, 2), (1, 1))
-    assert not verify.sigma_compatible((-1, 2), (1, 0))  # ends positive, needs >= 1
-    assert verify.sigma_compatible((1,), (1,))
-    assert not verify.sigma_compatible((1,), (0,))
+    # a map compatible with a word s, read along s, is a type-B
+    # partition of the chain labeled by s read backwards
+    def compatible(sigma, fvals):
+        return verify.is_partition_b(chain_forest(len(sigma)), sigma[::-1], fvals[::-1])
+
+    assert compatible((), ())
+    assert compatible((2, -1), (1, 0))
+    assert not compatible((2, -1), (1, 1))  # descent needs strict
+    assert not compatible((2, -1), (0, 1))  # must not increase
+    assert compatible((-1, 2), (1, 1))
+    assert not compatible((-1, 2), (1, 0))  # ends positive, needs >= 1
+    assert compatible((1,), (1,))
+    assert not compatible((1,), (0,))
 
 
 def test_dec1_examples():
@@ -180,6 +203,21 @@ def test_dec1_witness_for_a_duplicated_extension(monkeypatch):
     report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
     assert not report.passed
     assert report.witness == "labeling (1, -2), map (1, 1): 2 compatible extensions"
+
+
+def test_dec1_witness_for_a_generated_non_partition(monkeypatch):
+    generate = verify.enumerate_partitions
+
+    def with_an_extra_map(forest, w, max_total):
+        yield from generate(forest, w, max_total)
+        if forest == CHAIN2:
+            yield (1, 0)
+
+    monkeypatch.setattr(verify, "enumerate_partitions", with_an_extra_map)
+    report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
+    assert not report.passed
+    assert report.witness == ("labeling (1, -2), map (1, 0): "
+                              "generated for (-2, 1) but not compatible with it")
 
 
 def test_dec1_witness_for_a_compatible_non_member(monkeypatch):

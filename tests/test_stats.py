@@ -102,6 +102,15 @@ def test_descent_sets():
     assert stats.descents_b_forest(CHAIN2, (1, 2)) == (1, 2)
 
 
+def test_type_b_descents_are_the_descents_and_positive_roots():
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            for w in enumerate_labelings(forest, "signed"):
+                reference = set(stats.descents_forest(forest, w))
+                reference.update(r for r in forest.roots if w[r - 1] > 0)
+                assert stats.descents_b_forest(forest, w) == tuple(sorted(reference))
+
+
 def test_inv_d_rejects_odd_signs():
     with pytest.raises(ValueError):
         stats.FOREST_STATS["inv-d-f"](CHAIN2, (-1, 2))
