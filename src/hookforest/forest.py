@@ -221,6 +221,20 @@ def enumerate_forests(n: int) -> Iterator[Forest]:
         yield parse_forest(s)
 
 
+def canonical_form(forest: Forest) -> str:
+    """Paren encoding of the forest as an unordered forest.
+
+    Each vertex encodes as "(" + its children's encodings, sorted, + ")",
+    and the forest as its root encodings, sorted; two plane forests get
+    the same string iff they differ only in the order of siblings.
+    """
+    code = [""] * (forest.n + 1)
+    # children are numbered after their parent, so they are encoded first
+    for v in range(forest.n, 0, -1):
+        code[v] = "(" + "".join(sorted(code[c] for c in forest.children[v])) + ")"
+    return "".join(sorted(code[r] for r in forest.roots))
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown sign mode {mode!r}; expected one of {MODES}")

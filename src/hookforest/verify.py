@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
-from .forest import (Forest, chain_forest, comparable_pairs, enumerate_forests,
+from .forest import (Forest, canonical_form, chain_forest, enumerate_forests,
                      enumerate_labelings, enumerate_words, hook_lengths,
                      labeling_count, linear_extensions)
 from .qpoly import BiPoly, Series
@@ -270,15 +270,15 @@ def is_partition_b(forest: Forest, w, f: Sequence[int]) -> bool:
 
     f weakly increases from roots toward leaves, strictly across pairs
     where the ancestor's label is smaller, and is >= 1 at positively
-    labeled roots.
+    labeled roots; the parent pairs imply every comparable pair.
     """
-    for a, b in comparable_pairs(forest):
-        fa, fb = f[a - 1], f[b - 1]
-        if fa > fb:
+    for v in range(1, forest.n + 1):
+        p = forest.parent[v]
+        if p and f[v - 1] < f[p - 1] + (w[p - 1] < w[v - 1]):
             return False
-        if fa == fb and w[a - 1] < w[b - 1]:
+        if not p and w[v - 1] > 0 and f[v - 1] < 1:
             return False
-    return all(f[r - 1] >= 1 for r in forest.roots if w[r - 1] > 0)
+    return True
 
 
 def enumerate_partitions(forest: Forest, w, max_total: int) -> Iterator[tuple[int, ...]]:
@@ -521,11 +521,21 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
 # ---------------------------------------------------------------------------
 # sweeps and counterexample search
 
-def _map_ordered(fn: Callable, items, jobs: int) -> list:
+def _map_classes(fn: Callable, forests: list[Forest], jobs: int) -> list:
+    """fn of each forest, computed once per unordered class on the
+    class's first forest (on ``jobs`` threads when jobs > 1): no
+    statistic or closed form depends on the order of siblings."""
+    keys = [canonical_form(f) for f in forests]
+    first: dict[str, Forest] = {}
+    for key, forest in zip(keys, forests):
+        first.setdefault(key, forest)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+            results = list(pool.map(fn, first.values()))
+    else:
+        results = [fn(f) for f in first.values()]
+    by_key = dict(zip(first, results))
+    return [by_key[key] for key in keys]
 
 
 def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
@@ -533,20 +543,30 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     """Check one identity over every forest of size 0..max_n.
 
     Size-level identities run once per size, and a theorem's row may set
-    a larger first size.  Results come back in canonical order regardless
-    of the worker count.
+    a larger first size.  Each unordered class is checked once, and a
+    failed class again on each forest, so every report is the forest's
+    own.  Results come back in canonical order regardless of the worker
+    count.
     """
     row = _theorem(theorem_id)
     _check_max_n(max_n)
     _check_degree(degree)
     _check_jobs(jobs)
+    check = lambda f: check_theorem(f, theorem_id, degree=degree)
+
+    def own(forest: Forest, report: CheckReport) -> CheckReport:
+        label = forest.render()
+        if report.passed or report.forest == label:
+            return replace(report, forest=label)
+        return check(forest)
+
     reports: list[CheckReport] = []
     for n in range(row.start, max_n + 1):
         if row.scope == "size":
             batch = [_check_size(theorem_id, row, n)]
         else:
-            batch = _map_ordered(lambda f: check_theorem(f, theorem_id, degree=degree),
-                                 list(enumerate_forests(n)), jobs)
+            forests = list(enumerate_forests(n))
+            batch = map(own, forests, _map_classes(check, forests, jobs))
         for report in batch:
             reports.append(report)
             if fail_fast and not report.passed:
@@ -557,17 +577,20 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
 def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
                           jobs: int = 1) -> Optional[tuple[Forest, BiPoly, BiPoly]]:
     """First forest (size ascending, canonical order) where the two
-    statistics have different distributions; None if there is none."""
+    statistics have different distributions; None if there is none.
+    Each unordered class is tried once: the statistics (callables too)
+    must not depend on the order of siblings."""
     for stat in (stat_a, stat_b):
         stats.resolve_forest_stat(stat)
     _check_max_n(max_n)
     _check_jobs(jobs)
     for n in range(max_n + 1):
         forests = list(enumerate_forests(n))
-        rows = _map_ordered(
-            lambda f: (f, distribution(f, stat_a, mode), distribution(f, stat_b, mode)),
+        pairs = _map_classes(
+            lambda f: (distribution(f, stat_a, mode), distribution(f, stat_b, mode)),
             forests, jobs)
-        for forest, da, db in rows:
+        for forest, (da, db) in zip(forests, pairs):
             if da != db:
+                # the first forest of its class: these are its own distributions
                 return forest, da, db
     return None

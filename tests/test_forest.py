@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from hookforest.forest import (Forest, ForestParseError, chain_forest,
-                               comparable_pairs, enumerate_forests,
+from hookforest.forest import (Forest, ForestParseError, canonical_form,
+                               chain_forest, comparable_pairs, enumerate_forests,
                                enumerate_labelings, enumerate_words,
                                forest_from_parents, hook_lengths,
                                is_strict_ancestor, labeling_count,
@@ -186,6 +186,32 @@ def test_children_and_hooks_match_references():
                 yield v
             for v in range(1, n + 1):
                 assert hook_lengths(f)[v] == sum(1 for _ in post(v))
+
+
+def test_canonical_form_counts_the_unordered_forests():
+    # rooted unordered forests on n vertices: OEIS A000081 shifted by one
+    counts = [len({canonical_form(f) for f in enumerate_forests(n)}) for n in range(9)]
+    assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+
+
+def test_canonical_form_ignores_sibling_order_and_is_idempotent():
+    # with the counts above, invariance under reordering means the keys
+    # are exactly the unordered classes
+    rng = random.Random(10)
+    for n in range(7):
+        for f in enumerate_forests(n):
+            key = canonical_form(f)
+            assert canonical_form(parse_forest(key)) == key
+            # renumbering the vertices reorders siblings and trees
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            new = {old: i for i, old in enumerate(order, start=1)}
+            new[0] = 0
+            parents = [new[f.parent[old]] for old in order]
+            assert canonical_form(forest_from_parents(parents)) == key
+    assert canonical_form(parse_forest("()(())")) == "(())()"
+    assert canonical_form(parse_forest("(()(()))")) == "((())())"
+    assert canonical_form(parse_forest("")) == ""
 
 
 def test_is_strict_ancestor():

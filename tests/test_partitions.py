@@ -33,11 +33,21 @@ def bounded_grid(n, max_total):
                  if sum(f) <= max_total)
 
 
+def all_pairs_partition_b(forest, w, f):
+    """Reference membership: f weakly increases across every comparable
+    pair, strictly where the ancestor's label is smaller, and is >= 1 at
+    positively labeled roots."""
+    for a, b in comparable_pairs(forest):
+        if f[a - 1] > f[b - 1] or (f[a - 1] == f[b - 1] and w[a - 1] < w[b - 1]):
+            return False
+    return all(f[r - 1] >= 1 for r in forest.roots if w[r - 1] > 0)
+
+
 def grid_partitions(forest, w, max_total):
     """Reference: the type-B partitions filtered from the full grid by
-    the membership test."""
+    the all-pairs membership test."""
     return [f for f in bounded_grid(forest.n, max_total)
-            if verify.is_partition_b(forest, w, f)]
+            if all_pairs_partition_b(forest, w, f)]
 
 
 def weight_series(maps, degree):
@@ -57,6 +67,15 @@ def test_membership_conditions():
     assert not verify.is_partition_b(CHAIN2, w, (2, 1))
     assert verify.is_partition_b(CHAIN2, w, (1, 2))
     assert verify.is_partition_b(CHAIN2, w, (2, 3))
+
+
+def test_membership_matches_the_all_pairs_reference():
+    for n in range(5):
+        maps = list(itertools.product(range(4), repeat=n))
+        for forest in enumerate_forests(n):
+            for w in enumerate_labelings(forest, "signed"):
+                assert ([f for f in maps if verify.is_partition_b(forest, w, f)]
+                        == [f for f in maps if all_pairs_partition_b(forest, w, f)]), (forest, w)
 
 
 def test_enumerate_partitions_examples():

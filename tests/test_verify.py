@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hookforest import chaindp, formulas, stats, verify
-from hookforest.forest import (chain_forest, enumerate_forests,
-                               enumerate_labelings, forest_from_parents,
+from hookforest.forest import (MODES, canonical_form, chain_forest,
+                               enumerate_forests, enumerate_labelings,
+                               forest_from_parents, hook_lengths,
                                parse_forest)
 from hookforest.qpoly import BiPoly, q_number
 
@@ -166,6 +167,54 @@ def test_sweep_fail_fast_on_engineered_failure(monkeypatch):
     assert reports[-1].witness.startswith("coefficient")
 
 
+def test_sweep_reports_each_plane_forest_as_its_own(monkeypatch):
+    bogus = dataclasses.replace(verify.THEOREMS["thm-inv-b"], lhs=(("nmaj-f", None),))
+    monkeypatch.setitem(verify.THEOREMS, "thm-inv-b", bogus)
+    forests = [f for n in range(6) for f in enumerate_forests(n)]
+    own = [verify.check_theorem(f, "thm-inv-b").to_record() for f in forests]
+    for jobs in (1, 2):
+        assert [r.to_record() for r in verify.sweep("thm-inv-b", 5, jobs=jobs)] == own
+    # failing forests that are not the first of their class are re-checked
+    first = {}
+    for f in forests:
+        first.setdefault(canonical_form(f), f.render())
+    failing = {rec["forest"] for rec in own if not rec["pass"]}
+    for paren in ("((()(())))", "(()(()()))"):
+        assert paren in failing
+        assert first[canonical_form(parse_forest(paren))] != paren
+
+
+def test_sweep_rechecks_each_forest_of_a_failed_class(monkeypatch):
+    # a witness that reads the planar order tells the members of a class apart
+    def fail(forest):
+        return verify.CheckReport("eq-coset-fmaj", forest.render(), None, None, False,
+                                  f"hooks {hook_lengths(forest)[1:]}")
+
+    bogus = dataclasses.replace(verify.THEOREMS["eq-coset-fmaj"], lhs=fail)
+    monkeypatch.setitem(verify.THEOREMS, "eq-coset-fmaj", bogus)
+    reports = verify.sweep("eq-coset-fmaj", 3, jobs=2)
+    assert [r.to_record() for r in reports] == [
+        fail(f).to_record() for n in range(4) for f in enumerate_forests(n)]
+    witnesses = {r.forest: r.witness for r in reports}
+    assert witnesses["(())()"] == "hooks (2, 1, 1)"
+    assert witnesses["()(())"] == "hooks (1, 2, 1)"
+
+
+def test_sweep_checks_each_unordered_forest_once(monkeypatch):
+    calls = []
+    check = verify.check_theorem
+
+    def counted(forest, *args, **kwargs):
+        calls.append(forest)
+        return check(forest, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_theorem", counted)
+    reports = verify.sweep("thm-inv-b", 5)
+    assert len(reports) == 65 and all(r.passed for r in reports)
+    assert len(calls) == 37
+    assert len({canonical_form(f) for f in calls}) == 37
+
+
 def test_counterexample_equidistributed_pairs_return_none():
     assert verify.counterexample_search("inv-b-f", "fmaj-f", "signed", 4) is None
     assert verify.counterexample_search("inv-b-f", "inv-b-f", "signed", 4) is None
@@ -287,6 +336,65 @@ def test_even_odd_terms_match_brute_force():
                                            stats.FOREST_TERMS["n1-f"])
             assert dp == verify.distribution(forest, raw, "signed", aux=stats.n1_forest)
             assert verify.check_even_odd(forest).passed
+
+
+# ---------------------------------------------------------------------------
+# planar invariance: sweeps and counterexample searches check one forest
+# per unordered class, so no distribution may depend on sibling order
+
+def _planar_cases():
+    """Every FOREST_TERMS id in every mode where it is defined, with aux
+    n1-f in signed mode."""
+    for mode in MODES:
+        for stat in stats.FOREST_TERMS:
+            if not (stat == stats.EVEN_SIGNED_STAT and mode == "signed"):
+                yield stat, mode, "n1-f" if mode == "signed" else None
+
+
+def _reordered(sizes):
+    """Every plane forest of the given sizes that differs from its
+    canonical form, paired with that form."""
+    for n in sizes:
+        for forest in enumerate_forests(n):
+            canonical = parse_forest(canonical_form(forest))
+            if canonical != forest:
+                yield forest, canonical
+
+
+def _assert_dp_is_planar_invariant(sizes):
+    for forest, canonical in _reordered(sizes):
+        for stat, mode, aux in _planar_cases():
+            assert (verify.distribution(forest, stat, mode, aux=aux)
+                    == verify.distribution(canonical, stat, mode, aux=aux)), \
+                (forest, stat, mode, aux)
+
+
+def test_dp_distributions_are_planar_invariant():
+    _assert_dp_is_planar_invariant(range(6))
+
+
+@pytest.mark.slow
+def test_dp_distributions_are_planar_invariant_n6():
+    _assert_dp_is_planar_invariant([6])
+
+
+def test_brute_force_agrees_with_the_canonical_form():
+    cases = list(_planar_cases())
+    for forest, canonical in _reordered(range(5)):
+        for mode in MODES:
+            pairs = [(stat, aux) for stat, m, aux in cases if m == mode]
+            for (stat, aux), brute in _oracles(forest, mode, pairs).items():
+                assert brute == verify.distribution(canonical, stat, mode, aux=aux), \
+                    (forest, stat, mode, aux)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem", DIST_THEOREMS + ["eq-even-odd"])
+def test_distribution_theorems_swept_to_n8(theorem):
+    reports = verify.sweep(theorem, 8)
+    assert len(reports) == sum(len(list(enumerate_forests(n)))
+                               for n in range(verify.THEOREMS[theorem].start, 9))
+    assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
 
 
 def test_validation_runs_before_any_loop():
