@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True)
     p.add_argument("--degree", type=int, default=10)
     p.add_argument("--jobs", type=int,
-                   help="worker threads (default: HOOKFOREST_JOBS, else 1)")
+                   help="worker processes (default: HOOKFOREST_JOBS, else 1)")
     p.add_argument("--fail-fast", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="signed")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--jobs", type=int,
-                   help="worker threads (default: HOOKFOREST_JOBS, else 1)")
+                   help="worker processes (default: HOOKFOREST_JOBS, else 1)")
     add_common(p)
     p.set_defaults(func=cmd_counterexample)
 

@@ -12,7 +12,8 @@ polynomial equality.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+import time
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -269,14 +270,15 @@ def is_partition_b(forest: Forest, w, f: Sequence[int]) -> bool:
     """Membership in the type-B partition set of (F, w).
 
     f weakly increases from roots toward leaves, strictly across pairs
-    where the ancestor's label is smaller, and is >= 1 at positively
-    labeled roots; the parent pairs imply every comparable pair.
+    where the ancestor's label is smaller, and is >= 0 at every root and
+    >= 1 at positively labeled roots; the parent pairs imply every
+    comparable pair, and the roots bound every value below.
     """
     for v in range(1, forest.n + 1):
         p = forest.parent[v]
         if p and f[v - 1] < f[p - 1] + (w[p - 1] < w[v - 1]):
             return False
-        if not p and w[v - 1] > 0 and f[v - 1] < 1:
+        if not p and f[v - 1] < (w[v - 1] > 0):
             return False
     return True
 
@@ -478,15 +480,6 @@ def check_mirror(forest: Forest) -> CheckReport:
                        distribution(forest, "fmaj"), True)
 
 
-def coset_decompose(sigma: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a signed word as tau o pi: tau its increasing rearrangement,
-    pi the ordinary permutation of positions with tau[pi_i - 1] = sigma_i."""
-    tau = tuple(sorted(sigma))
-    rank = {v: i for i, v in enumerate(tau, start=1)}
-    pi = tuple(rank[v] for v in sigma)
-    return tau, pi
-
-
 def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
     """fmaj of a relabeled forest splits as 2*maj of the ordinary part
     plus the negatives of the coset representative; the relabelings
@@ -521,19 +514,67 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
 # ---------------------------------------------------------------------------
 # sweeps and counterexample search
 
+# Estimated seconds of class checks left below which _map_classes stays
+# serial: starting and feeding a pool of forked workers costs tens of
+# milliseconds, more than the small sweeps take in total.
+POOL_THRESHOLD_S = 0.25
+
+# The function a pool's worker applies, set as the worker starts.  The
+# workers are forked, so it reaches them unpickled: lambdas, callable
+# statistics and patched rows work too.
+_pool_fn: Optional[Callable] = None
+
+
+def _set_pool_fn(fn: Callable) -> None:
+    global _pool_fn
+    _pool_fn = fn
+
+
+def _call_pool_fn(forest: Forest):
+    return _pool_fn(forest)
+
+
+def _workers(jobs: int, items: int) -> int:
+    """Worker processes for ``items`` pieces of work: no more than
+    requested, than the machine has CPUs, or than there are items."""
+    return min(jobs, os.cpu_count() or 1, items)
+
+
 def _map_classes(fn: Callable, forests: list[Forest], jobs: int) -> list:
     """fn of each forest, computed once per unordered class on the
-    class's first forest (on ``jobs`` threads when jobs > 1): no
-    statistic or closed form depends on the order of siblings."""
+    class's first forest: no statistic or closed form depends on the
+    order of siblings.
+
+    The classes are checked serially until the mean time per class so
+    far, times the classes left, exceeds POOL_THRESHOLD_S; the rest then
+    go in chunks to a pool of up to ``jobs`` forked worker processes.
+    Results keep canonical order either way.
+    """
     keys = [canonical_form(f) for f in forests]
     first: dict[str, Forest] = {}
     for key, forest in zip(keys, forests):
         first.setdefault(key, forest)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, first.values()))
-    else:
-        results = [fn(f) for f in first.values()]
+    todo = list(first.values())
+    results = []
+    start = time.perf_counter()
+    for done, forest in enumerate(todo):
+        left = len(todo) - done
+        workers = _workers(jobs, left)
+        if (workers > 1 and done
+                and (time.perf_counter() - start) / done * left > POOL_THRESHOLD_S):
+            # imported only here: they add about 20 ms to every start-up
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+            pool = ProcessPoolExecutor(workers, get_context("fork"),
+                                       initializer=_set_pool_fn, initargs=(fn,))
+            try:
+                # about four chunks per worker even out unequal class costs
+                results += pool.map(_call_pool_fn, todo[done:],
+                                    chunksize=max(1, left // (4 * workers)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+            break
+        results.append(fn(forest))
     by_key = dict(zip(first, results))
     return [by_key[key] for key in keys]
 

@@ -35,12 +35,12 @@ def bounded_grid(n, max_total):
 
 def all_pairs_partition_b(forest, w, f):
     """Reference membership: f weakly increases across every comparable
-    pair, strictly where the ancestor's label is smaller, and is >= 1 at
-    positively labeled roots."""
+    pair, strictly where the ancestor's label is smaller, and is >= 0 at
+    every root and >= 1 at positively labeled roots."""
     for a, b in comparable_pairs(forest):
         if f[a - 1] > f[b - 1] or (f[a - 1] == f[b - 1] and w[a - 1] < w[b - 1]):
             return False
-    return all(f[r - 1] >= 1 for r in forest.roots if w[r - 1] > 0)
+    return all(f[r - 1] >= (w[r - 1] > 0) for r in forest.roots)
 
 
 def grid_partitions(forest, w, max_total):
@@ -67,11 +67,16 @@ def test_membership_conditions():
     assert not verify.is_partition_b(CHAIN2, w, (2, 1))
     assert verify.is_partition_b(CHAIN2, w, (1, 2))
     assert verify.is_partition_b(CHAIN2, w, (2, 3))
+    # a negatively labeled root is still bounded below by 0
+    assert verify.is_partition_b(DOT, (-1,), (0,))
+    assert not verify.is_partition_b(DOT, (-1,), (-1,))
+    assert not verify.is_partition_b(ANTI2, (-1, -2), (0, -1))
 
 
 def test_membership_matches_the_all_pairs_reference():
+    # values from -1 test the nonnegativity that no parent pair implies
     for n in range(5):
-        maps = list(itertools.product(range(4), repeat=n))
+        maps = list(itertools.product(range(-1, 4), repeat=n))
         for forest in enumerate_forests(n):
             for w in enumerate_labelings(forest, "signed"):
                 assert ([f for f in maps if verify.is_partition_b(forest, w, f)]
@@ -132,6 +137,9 @@ def test_partition_shift_examples():
     assert verify.partition_shift(CHAIN2, (1, 2), (1, 2)) == (0, 0)
     with pytest.raises(ValueError):
         verify.partition_shift(CHAIN2, (1, 2), (0, 1))
+    # a negative value at a root is not a member, not a failed shift
+    with pytest.raises(ValueError):
+        verify.partition_shift(DOT, (-1,), (-1,))
 
 
 def test_partition_shift_bijectivity_small():

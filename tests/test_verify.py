@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import json
+import os
 import pathlib
 
 import pytest
@@ -142,10 +144,82 @@ def test_coset_identity_small():
             assert verify.check_fmaj_coset_identity(forest).passed
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Force the worker pool: a zero threshold, and two CPUs even on a
+    one-CPU host.  Returns the worker counts of the pools started."""
+    starts = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counted(workers, *args, **kwargs):
+        starts.append(workers)
+        return real(workers, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "POOL_THRESHOLD_S", 0.0)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return starts
+
+
+def test_workers_are_capped_by_jobs_cpus_and_items(monkeypatch):
+    for cpus, cap in ((1, 1), (None, 1), (8, 8)):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        for jobs in range(1, 65):
+            assert verify._workers(jobs, 100) == min(jobs, cap)
+            assert verify._workers(jobs, 3) == min(jobs, cap, 3)
+            assert verify._workers(jobs, 1) == 1
+    assert verify._workers(64, 100) == 8 and verify._workers(5, 100) == 5
+
+
+def test_small_sweeps_start_no_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    reports = verify.sweep("thm-inv-b", 5, jobs=2)
+    assert len(reports) == 65 and all(r.passed for r in reports)
+
+
+def test_pooled_sweeps_and_searches_match_jobs_1(pool_starts):
+    for theorem, max_n in (("thm-inv-b", 5), ("thm-bw", 4), ("thm-le1", 3),
+                           ("eq-even-odd", 4), ("len-b", 3)):
+        started = len(pool_starts)
+        serial = [r.to_record() for r in verify.sweep(theorem, max_n, jobs=1)]
+        assert len(pool_starts) == started
+        assert [r.to_record() for r in verify.sweep(theorem, max_n, jobs=2)] == serial
+    golden = json.loads((GOLDEN / "counterexample_nmaj_vs_inv_b.json").read_text())
+    for stat_a, stat_b, max_n in (("nmaj-f", "inv-b-f", golden["max_n"]),
+                                  ("inv-b-f", "fmaj-f", 5)):
+        a = verify.counterexample_search(stat_a, stat_b, "signed", max_n, jobs=1)
+        b = verify.counterexample_search(stat_a, stat_b, "signed", max_n, jobs=2)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[0].render() == b[0].render() == golden["witness"]
+            assert a[1:] == b[1:]
+    assert pool_starts and set(pool_starts) == {2}
+
+
+def test_pool_worker_exception_reaches_the_caller(monkeypatch, pool_starts):
+    parent = os.getpid()
+
+    def check(forest):
+        if os.getpid() != parent:
+            raise ValueError(f"raised in a worker on {forest.render()}")
+        return verify.CheckReport("eq-coset-fmaj", forest.render(), None, None, True)
+
+    bogus = dataclasses.replace(verify.THEOREMS["eq-coset-fmaj"], lhs=check)
+    monkeypatch.setitem(verify.THEOREMS, "eq-coset-fmaj", bogus)
+    assert all(r.passed for r in verify.sweep("eq-coset-fmaj", 4, jobs=1))
+    with pytest.raises(ValueError, match="raised in a worker"):
+        verify.sweep("eq-coset-fmaj", 4, jobs=2)
+    assert pool_starts
+
+
 def test_sweep_orders_and_jobs():
     serial = verify.sweep("thm-inv-b", 3, jobs=1)
-    threaded = verify.sweep("thm-inv-b", 3, jobs=4)
-    assert [r.to_record() for r in serial] == [r.to_record() for r in threaded]
+    parallel = verify.sweep("thm-inv-b", 3, jobs=4)
+    assert [r.to_record() for r in serial] == [r.to_record() for r in parallel]
     assert [r.forest for r in serial] == [f.render() for n in range(4)
                                           for f in enumerate_forests(n)]
     assert all(r.passed for r in serial)
@@ -167,13 +241,14 @@ def test_sweep_fail_fast_on_engineered_failure(monkeypatch):
     assert reports[-1].witness.startswith("coefficient")
 
 
-def test_sweep_reports_each_plane_forest_as_its_own(monkeypatch):
+def test_sweep_reports_each_plane_forest_as_its_own(monkeypatch, pool_starts):
     bogus = dataclasses.replace(verify.THEOREMS["thm-inv-b"], lhs=(("nmaj-f", None),))
     monkeypatch.setitem(verify.THEOREMS, "thm-inv-b", bogus)
     forests = [f for n in range(6) for f in enumerate_forests(n)]
     own = [verify.check_theorem(f, "thm-inv-b").to_record() for f in forests]
     for jobs in (1, 2):
         assert [r.to_record() for r in verify.sweep("thm-inv-b", 5, jobs=jobs)] == own
+    assert pool_starts
     # failing forests that are not the first of their class are re-checked
     first = {}
     for f in forests:
@@ -184,7 +259,7 @@ def test_sweep_reports_each_plane_forest_as_its_own(monkeypatch):
         assert first[canonical_form(parse_forest(paren))] != paren
 
 
-def test_sweep_rechecks_each_forest_of_a_failed_class(monkeypatch):
+def test_sweep_rechecks_each_forest_of_a_failed_class(monkeypatch, pool_starts):
     # a witness that reads the planar order tells the members of a class apart
     def fail(forest):
         return verify.CheckReport("eq-coset-fmaj", forest.render(), None, None, False,
@@ -198,6 +273,7 @@ def test_sweep_rechecks_each_forest_of_a_failed_class(monkeypatch):
     witnesses = {r.forest: r.witness for r in reports}
     assert witnesses["(())()"] == "hooks (2, 1, 1)"
     assert witnesses["()(())"] == "hooks (1, 2, 1)"
+    assert pool_starts
 
 
 def test_sweep_checks_each_unordered_forest_once(monkeypatch):
@@ -391,7 +467,7 @@ def test_brute_force_agrees_with_the_canonical_form():
 @pytest.mark.slow
 @pytest.mark.parametrize("theorem", DIST_THEOREMS + ["eq-even-odd"])
 def test_distribution_theorems_swept_to_n8(theorem):
-    reports = verify.sweep(theorem, 8)
+    reports = verify.sweep(theorem, 8, jobs=2)
     assert len(reports) == sum(len(list(enumerate_forests(n)))
                                for n in range(verify.THEOREMS[theorem].start, 9))
     assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
