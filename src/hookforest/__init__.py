@@ -11,8 +11,8 @@ ancestor-chain dynamic program of ``chaindp``.
 from . import formulas, stats, verify
 from .forest import (MODES, Forest, ForestParseError, chain_forest,
                      enumerate_forests, enumerate_labelings, enumerate_words,
-                     forest_from_parents, hook_lengths, is_strict_ancestor,
-                     linear_extensions, parse_forest, parse_forest_input)
+                     forest_from_parents, hook_lengths, linear_extensions,
+                     parse_forest, parse_forest_input)
 from .qpoly import BiPoly, Series, geometric_series, q_factorial, q_number
 from .verify import (CheckReport, check_theorem, counterexample_search,
                      distribution, sweep)
@@ -20,9 +20,8 @@ from .verify import (CheckReport, check_theorem, counterexample_search,
 __all__ = [
     "MODES", "Forest", "ForestParseError", "chain_forest",
     "enumerate_forests", "enumerate_labelings", "enumerate_words",
-    "forest_from_parents", "hook_lengths", "is_strict_ancestor",
-    "linear_extensions", "parse_forest", "parse_forest_input", "BiPoly",
-    "Series", "geometric_series", "q_factorial", "q_number", "CheckReport",
-    "check_theorem", "counterexample_search", "distribution", "sweep",
-    "formulas", "stats", "verify",
+    "forest_from_parents", "hook_lengths", "linear_extensions", "parse_forest",
+    "parse_forest_input", "BiPoly", "Series", "geometric_series", "q_factorial",
+    "q_number", "CheckReport", "check_theorem", "counterexample_search",
+    "distribution", "sweep", "formulas", "stats", "verify",
 ]

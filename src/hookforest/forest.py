@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 MODES = ("ordinary", "signed", "even-signed")
 
@@ -176,14 +176,6 @@ def hook_lengths(forest: Forest) -> tuple[int, ...]:
     return tuple(h)
 
 
-def is_strict_ancestor(forest: Forest, a: int, b: int) -> bool:
-    """True iff b lies in the proper subtree of a."""
-    n = forest.n
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise IndexError(f"vertex index out of range 1..{n}")
-    return a < b < a + hook_lengths(forest)[a]
-
-
 @lru_cache(maxsize=None)
 def comparable_pairs(forest: Forest) -> tuple[tuple[int, int], ...]:
     """All (ancestor, descendant) pairs of the forest order."""
@@ -294,7 +286,7 @@ def labeling_count(n: int, mode: str) -> int:
     return 2 ** (n - 1) * math.factorial(n) if n else 1
 
 
-def validate_labeling(forest: Forest, values: Sequence[int], mode: Optional[str] = None) -> tuple[int, ...]:
+def validate_labeling(forest: Forest, values: Sequence[int]) -> tuple[int, ...]:
     """Check that values is a signed labeling of the forest; returns it as a tuple."""
     values = tuple(values)
     n = forest.n
@@ -304,13 +296,6 @@ def validate_labeling(forest: Forest, values: Sequence[int], mode: Optional[str]
         raise ValueError("labels must be nonzero integers")
     if sorted(abs(v) for v in values) != list(range(1, n + 1)):
         raise ValueError("absolute labels must be exactly 1..n with no repeats")
-    if mode is not None:
-        _check_mode(mode)
-        negatives = sum(1 for v in values if v < 0)
-        if mode == "ordinary" and negatives:
-            raise ValueError("ordinary labelings have no negative labels")
-        if mode == "even-signed" and negatives % 2:
-            raise ValueError("even-signed labelings need an even number of negative labels")
     return values
 
 
@@ -358,10 +343,3 @@ def linear_extensions(forest: Forest, values: Sequence[int]) -> Iterator[tuple[i
             avail.append(v)
 
     yield from rec()
-
-
-def remove_root(forest: Forest) -> Forest:
-    """Delete the root of a one-tree forest; its children become the roots."""
-    if len(forest.roots) != 1:
-        raise ValueError("remove_root needs a forest consisting of a single tree")
-    return parse_forest(forest.render()[1:-1])

@@ -100,21 +100,6 @@ class BiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        result = BiPoly.__new__(BiPoly)
-        result._terms = {key: -c for key, c in self._terms.items()}
-        return result
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = BiPoly({(0, 0): other})
@@ -149,20 +134,6 @@ class BiPoly:
             raise ValueError("t substitution is supported for -1, 0 and 1 only")
         return BiPoly(((0, b), -c if value == -1 and a % 2 else c)
                       for (a, b), c in self._terms.items() if value or not a)
-
-    def subst_q_squared(self) -> "BiPoly":
-        """Replace q by q^2, leaving t untouched."""
-        return BiPoly({(a, 2 * b): c for (a, b), c in self._terms.items()})
-
-    def subst_q2_t_invq(self) -> "BiPoly":
-        """Apply q -> q^2 and t -> 1/q as one monomial map.
-
-        Each term t^a q^b becomes q^(2b - a).  Valid only when every
-        resulting exponent is nonnegative; otherwise the polynomial is
-        outside the domain of this substitution and the constructor's
-        negative-exponent ValueError fires.
-        """
-        return BiPoly(((0, 2 * b - a), c) for (a, b), c in self._terms.items())
 
     def div_int(self, k: int) -> "BiPoly":
         """Divide every coefficient by k, exactly."""

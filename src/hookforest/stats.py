@@ -1,9 +1,9 @@
 """Statistics on signed permutations and on signed labeled forests.
 
 Permutation-level functions accept any word of distinct nonzero
-integers (they never assume the absolute values are contiguous, which
-the root-removal recursion relies on).  Forest-level functions take
-``(forest, values)`` with the label vector in vertex-index order.
+integers; they never assume the absolute values are contiguous.
+Forest-level functions take ``(forest, values)`` with the label vector
+in vertex-index order.
 
 The registries at the bottom map the kebab-case statistic ids shared
 with the CLI to the implementations.

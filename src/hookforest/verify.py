@@ -335,23 +335,6 @@ def _shift_by(forest: Forest, w) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return lambda f: tuple(x - y for x, y in zip(f, drop))
 
 
-def partition_shift(forest: Forest, w, f: Sequence[int]) -> tuple[int, ...]:
-    """Subtract 1 on the principal ideal below each type-B descent.
-
-    Maps a type-B partition of (F, w) to a plain forest partition and
-    drops exactly maj_b(F, w) from the weight.  Rejects maps outside
-    the type-B partition set.
-    """
-    if not is_partition_b(forest, w, f):
-        raise ValueError("not a type-B partition for this labeling")
-    out = _shift_by(forest, w)(f)
-    # membership guarantees enough room above every descent
-    if any(v < 0 for v in out):
-        raise RuntimeError(f"shifting {tuple(f)} below the type-B descents of {tuple(w)} "
-                           f"left a negative value: {out}")
-    return out
-
-
 def check_partition_shift(forest: Forest, w, degree: int) -> CheckReport:
     """The shift is weight-compatible and bijective onto forest partitions."""
     majb = stats.maj_b_forest(forest, w)

@@ -12,7 +12,7 @@ import time
 
 from hookforest import formulas, stats, verify
 from hookforest.forest import (chain_forest, comparable_pairs, enumerate_forests,
-                               enumerate_labelings, enumerate_words, remove_root)
+                               enumerate_labelings, enumerate_words, parse_forest)
 from hookforest.qpoly import BiPoly, q_factorial
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -210,7 +210,8 @@ def test_criterion_12_property_suite():
             for forest in enumerate_forests(n):
                 if len(forest.roots) != 1:
                     continue
-                inner = remove_root(forest)
+                # the root's children become the roots
+                inner = parse_forest(forest.render()[1:-1])
                 for w in enumerate_labelings(forest, "signed"):
                     base = inv_b(inner, w[1:])
                     if w[0] > 0:

@@ -40,6 +40,14 @@ def test_psi_failure_names_the_failing_side(monkeypatch):
     assert report.witness.startswith("(n1, maj-r) side: coefficient")
 
 
+def test_psi_witness(monkeypatch):
+    # the identity keeps p = 0 on (-1,), where n1 = 1
+    monkeypatch.setattr(verify, "psi_bijection", lambda sigma: tuple(sigma))
+    report = verify.check_psi(1)
+    assert not report.passed
+    assert report.witness == "sigma=(-1,): statistics not carried over"
+
+
 signed_words = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).flatmap(
         lambda perm: st.tuples(*[st.sampled_from([v, -v]) for v in perm])))
@@ -105,3 +113,12 @@ def test_mirror_check_reports():
             assert report.lhs == verify.distribution(forest, rmaj, "signed")
             assert report.rhs == verify.distribution(forest, fmaj, "signed")
             assert report.lhs == report.rhs
+
+
+def test_mirror_witness(monkeypatch):
+    # the identity is an involution, but rmaj and fmaj differ on the
+    # first labeling of the chain
+    monkeypatch.setattr(verify, "mirror_labeling", lambda forest, w: tuple(w))
+    report = verify.check_mirror(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "labeling (-2, -1): rmaj 2 != fmaj 4 of the mirror"

@@ -1,9 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
 from hookforest import cli, verify
 from hookforest.qpoly import BiPoly
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -165,6 +168,13 @@ def test_counterexample_none(capsys):
     assert out.startswith("none")
 
 
+def test_counterexample_none_records(capsys):
+    code, out, _ = run(capsys, "counterexample", "--stat", "inv-b", "--vs", "fmaj",
+                       "--mode", "signed", "--max-n", "3", "--format", "records")
+    assert code == 0
+    assert out == '{"witness": null}\n'
+
+
 def test_counterexample_inv_d_on_ordinary_labelings(capsys):
     # ordinary labelings are even-signed, and there inv-d is inv
     code, out, _ = run(capsys, "counterexample", "--stat", "inv-d", "--vs", "inv",
@@ -180,6 +190,18 @@ def test_counterexample_witness(capsys):
     record = json.loads(out)
     assert record["witness"] == "((()()))"
     assert record["dist_stat"] != record["dist_vs"]
+
+
+def test_counterexample_witness_human(capsys):
+    golden = json.loads((GOLDEN / "counterexample_nmaj_vs_inv_b.json").read_text())
+    code, out, _ = run(capsys, "counterexample", "--stat", "nmaj-f", "--vs", "inv-b",
+                       "--max-n", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "witness: ((()()))",
+        f"nmaj-f: {BiPoly.from_triples(golden['dist_stat']).render()}",
+        f"inv-b: {BiPoly.from_triples(golden['dist_vs']).render()}",
+    ]
 
 
 def test_failed_check_exits_1(capsys, monkeypatch):

@@ -2,8 +2,12 @@
 
 import ast
 import pathlib
+from collections import Counter
+
+import hookforest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hookforest"
+BENCH = SRC.parent.parent / "bench"
 
 
 def test_no_check_depends_on_assert():
@@ -15,3 +19,38 @@ def test_no_check_depends_on_assert():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _named(nodes, strings):
+    """Names that the nodes' code refers to: identifiers, attributes,
+    imported names and, with ``strings``, whole string constants."""
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                yield node.value
+
+
+def test_every_public_function_has_a_caller():
+    # the library keeps only what it, the benchmark or its public API
+    # uses; helpers that only tests call belong in the tests
+    modules = [ast.parse(path.read_text(), filename=str(path)).body
+               for path in sorted(SRC.glob("*.py"))]
+    # a string counts in src/, since THEOREMS names its closed forms
+    in_src = Counter(_named([node for body in modules for node in body], True))
+    # in bench/ only code counts: the tracer's name lists are strings
+    outside = set(hookforest.__all__)
+    for path in sorted(BENCH.glob("*.py")):
+        outside.update(_named([ast.parse(path.read_text(), filename=str(path))], False))
+    unused = [node.name for body in modules for node in body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in outside
+              # the definition's own body does not count
+              and in_src[node.name] == Counter(_named([node], True))[node.name]]
+    assert unused == []

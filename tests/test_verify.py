@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hookforest import chaindp, formulas, stats, verify
 from hookforest.forest import (MODES, canonical_form, chain_forest,
                                enumerate_forests, enumerate_labelings,
-                               forest_from_parents, hook_lengths,
-                               parse_forest)
+                               enumerate_words, forest_from_parents,
+                               hook_lengths, parse_forest)
 from hookforest.qpoly import BiPoly, q_number
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -121,6 +121,31 @@ def test_linext_theorem_small():
             assert verify.check_theorem(forest, "thm-le1").passed
 
 
+def test_labeled_witness_names_the_first_failing_labeling(monkeypatch):
+    # closed forms broken on the labelings with a positive root label;
+    # on the chain (-2, -1), (-2, 1), (-1, -2), (-1, 2) come first
+    chain2 = chain_forest(2)
+    linext, series = formulas.rhs_linext, formulas.rhs_partition_gf
+    extra = BiPoly.term(1, q=5)
+    monkeypatch.setattr(formulas, "rhs_linext",
+                        lambda f, w: linext(f, w) + (extra if w[0] > 0 else 0))
+    report = verify.check_theorem(chain2, "thm-le1")
+    assert not report.passed
+    assert report.witness == "labeling (1, -2): coefficient of t^0*q^5: lhs 0, rhs 1"
+    # the failing labeling's own sides, not running totals
+    assert report.lhs == BiPoly.term(1, q=2) == linext(chain2, (1, -2))
+    assert report.rhs == report.lhs + extra
+
+    extra = BiPoly.term(1, q=2)
+    monkeypatch.setattr(formulas, "rhs_partition_gf",
+                        lambda f, w, d: series(f, w, d) + (extra if w[0] > 0 else 0))
+    report = verify.check_theorem(chain2, "lem-partition-gf", degree=4)
+    assert not report.passed
+    assert report.witness == "labeling (1, -2): coefficient of t^0*q^2: lhs 1, rhs 2"
+    assert report.lhs == verify.partition_lhs_series(chain2, (1, -2), 4)
+    assert report.rhs == report.lhs + extra
+
+
 def test_reiner_and_length_checks():
     for n in range(4):
         carrier = chain_forest(n)
@@ -142,6 +167,16 @@ def test_coset_identity_small():
     for n in range(4):
         for forest in enumerate_forests(n):
             assert verify.check_fmaj_coset_identity(forest).passed
+
+
+def test_coset_witness(monkeypatch):
+    # with every signed word as a coset representative, tau = (-1, -2)
+    # turns the ascent of w = (1, 2) on the chain into a descent
+    monkeypatch.setattr(stats, "increasing_signed_words",
+                        lambda n: enumerate_words(n, "signed"))
+    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "w=(1, 2), tau=(-1, -2): descent set changed"
 
 
 @pytest.fixture
@@ -329,10 +364,12 @@ def test_counterexample_jobs_deterministic():
 
 def test_rmaj_distribution_from_majb_substitution():
     # the joint (p, maj-b) distribution maps onto the rmaj distribution
+    # by q -> q^2, t -> 1/q, which maps t^a q^b to q^(2b - a)
     for n in range(4):
         for forest in enumerate_forests(n):
             joint = verify.distribution(forest, "maj-b-f", "signed", aux="p-f")
-            assert joint.subst_q2_t_invq() == verify.distribution(forest, "rmaj-f", "signed")
+            mapped = BiPoly(((0, 2 * b - a), c) for (a, b), c in joint.items())
+            assert mapped == verify.distribution(forest, "rmaj-f", "signed")
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +451,14 @@ def test_even_odd_terms_match_brute_force():
             assert verify.check_even_odd(forest).passed
 
 
+def test_term_distribution_rejects_bad_terms():
+    dot = parse_forest("()")
+    with pytest.raises(KeyError, match="unknown forest terms"):
+        chaindp.term_distribution(dot, {"nope": 1})
+    with pytest.raises(ValueError, match="only the sign terms"):
+        chaindp.term_distribution(dot, {"inv": -1})
+
+
 # ---------------------------------------------------------------------------
 # planar invariance: sweeps and counterexample searches check one forest
 # per unordered class, so no distribution may depend on sibling order
@@ -484,13 +529,3 @@ def test_validation_runs_before_any_loop():
         verify.counterexample_search("inv-b-f", "nope", "signed", -1)
     with pytest.raises(ValueError):
         verify.counterexample_search("inv-b-f", "inv-b-f", "signed", -1)
-
-
-def test_partition_shift_raises_on_negative_image(monkeypatch):
-    dot = parse_forest("()")
-    assert verify.partition_shift(dot, (-1,), (0,)) == (0,)
-    real = stats.descents_b_forest
-    monkeypatch.setattr(stats, "descents_b_forest",
-                        lambda forest, w: tuple(sorted(set(real(forest, w)) | {1})))
-    with pytest.raises(RuntimeError):
-        verify.partition_shift(dot, (-1,), (0,))
