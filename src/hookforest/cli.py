@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import formulas, stats, verify
-from .forest import (MODES, Forest, ForestParseError, enumerate_forests,
-                     linear_extensions, parse_forest_input, parse_labeling,
-                     validate_labeling)
+from .forest import (MODES, ForestParseError, linear_extensions,
+                     parse_forest_input, parse_labeling, validate_labeling)
 from .qpoly import BiPoly
 
 
@@ -48,30 +46,8 @@ def _print_reports(reports, fmt: str) -> int:
     return sum(not r.passed for r in reports)
 
 
-def _jobs_arg(args) -> int:
-    """--jobs if given, else the HOOKFOREST_JOBS environment variable, else 1."""
-    if args.jobs is not None:
-        return args.jobs
-    raw = os.environ.get("HOOKFOREST_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"HOOKFOREST_JOBS must be a positive integer, got {raw!r}")
-    return jobs
-
-
-def _forest_arg(args) -> Forest:
-    return parse_forest_input(args.forest)
-
-
-def _labeling_arg(args, forest: Forest):
-    return validate_labeling(forest, parse_labeling(args.labeling))
-
-
 def cmd_dist(args) -> int:
-    forest = _forest_arg(args)
+    forest = parse_forest_input(args.forest)
     poly = verify.distribution(forest, args.stat, args.mode, aux=args.aux)
     _print_poly(poly, args.format, forest=forest.render(), stat=args.stat,
                 mode=args.mode, aux=args.aux)
@@ -79,19 +55,14 @@ def cmd_dist(args) -> int:
 
 
 def cmd_rhs(args) -> int:
-    forest = _forest_arg(args)
+    forest = parse_forest_input(args.forest)
     poly = verify.closed_form(args.theorem, forest)
-    if poly is None:
-        if verify.THEOREMS[args.theorem].scope != "labeled":
-            raise ValueError(f"{args.theorem!r} has no closed form")
-        raise ValueError(f"no labeling-free closed form for {args.theorem!r}; "
-                         "use the linext or partitions subcommand")
     _print_poly(poly, args.format, forest=forest.render(), theorem=args.theorem)
     return 0
 
 
 def cmd_check(args) -> int:
-    forest = _forest_arg(args)
+    forest = parse_forest_input(args.forest)
     report = verify.check_theorem(forest, args.theorem, degree=args.degree)
     _print_report(report, args.format)
     return 0 if report.passed else 1
@@ -99,7 +70,7 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     reports = verify.sweep(args.theorem, args.max_n, degree=args.degree,
-                           jobs=_jobs_arg(args), fail_fast=args.fail_fast)
+                           jobs=args.jobs, fail_fast=args.fail_fast)
     failures = _print_reports(reports, args.format)
     if args.format == "human":
         print(f"{len(reports)} checks, {failures} failures")
@@ -107,8 +78,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_linext(args) -> int:
-    forest = _forest_arg(args)
-    w = _labeling_arg(args, forest)
+    forest = parse_forest_input(args.forest)
+    w = validate_labeling(forest, parse_labeling(args.labeling))
     rows = [(word, stats.maj_b(word)) for word in linear_extensions(forest, w)]
     total = BiPoly(((0, m), 1) for _, m in rows)
     closed = formulas.rhs_linext(forest, w)
@@ -133,8 +104,8 @@ def cmd_linext(args) -> int:
 
 def cmd_partitions(args) -> int:
     verify._check_degree(args.degree)
-    forest = _forest_arg(args)
-    w = _labeling_arg(args, forest)
+    forest = parse_forest_input(args.forest)
+    w = validate_labeling(forest, parse_labeling(args.labeling))
     series, closed = verify._partition_pair(forest, w, args.degree)
     dec = verify.check_decomposition_dec1(forest, w, args.degree)
     passed = series == closed and dec.passed
@@ -159,18 +130,15 @@ def cmd_partitions(args) -> int:
 
 def cmd_bijections(args) -> int:
     verify._check_max_n(args.max_n)
-    reports = []
+    reports = [verify.check_psi(n) for n in range(args.max_n + 1)]
     for n in range(args.max_n + 1):
-        reports.append(verify.check_psi(n))
-    for n in range(args.max_n + 1):
-        for forest in enumerate_forests(n):
-            reports.append(verify.check_mirror(forest))
+        reports += verify._forest_reports(verify.check_mirror, n, 1)
     return 1 if _print_reports(reports, args.format) else 0
 
 
 def cmd_counterexample(args) -> int:
     result = verify.counterexample_search(args.stat, args.vs, args.mode,
-                                          args.max_n, jobs=_jobs_arg(args))
+                                          args.max_n, jobs=args.jobs)
     if args.format == "records":
         if result is None:
             print(json.dumps({"witness": None}))
@@ -235,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--theorem", required=True)
     p.add_argument("--degree", type=int, default=10)
-    p.add_argument("--jobs", type=int,
-                   help="worker processes (default: HOOKFOREST_JOBS, else 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--fail-fast", action="store_true")
     add_common(p)
     p.set_defaults(func=cmd_sweep)
@@ -266,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vs", required=True)
     p.add_argument("--mode", choices=MODES, default="signed")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int,
-                   help="worker processes (default: HOOKFOREST_JOBS, else 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     add_common(p)
     p.set_defaults(func=cmd_counterexample)
 

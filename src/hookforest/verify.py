@@ -190,12 +190,15 @@ def _check_jobs(jobs: int) -> None:
         raise ValueError(f"jobs must be positive, got {jobs}")
 
 
-def closed_form(theorem_id: str, forest: Forest) -> Optional[BiPoly]:
+def closed_form(theorem_id: str, forest: Forest) -> BiPoly:
     """The theorem's labeling-free closed form on the forest (size-level
-    ids on the chain of size forest.n), or None when it has none."""
+    ids on the chain of size forest.n); ValueError when it has none."""
     row = _theorem(theorem_id)
     if row.rhs is None:
-        return None
+        if row.scope != "labeled":
+            raise ValueError(f"{theorem_id!r} has no closed form")
+        raise ValueError(f"no labeling-free closed form for {theorem_id!r}; "
+                         "use the linext or partitions subcommand")
     return getattr(formulas, row.rhs)(chain_forest(forest.n) if row.scope == "size" else forest)
 
 
@@ -562,35 +565,40 @@ def _map_classes(fn: Callable, forests: list[Forest], jobs: int) -> list:
     return [by_key[key] for key in keys]
 
 
+def _forest_reports(check: Callable[[Forest], CheckReport], n: int,
+                    jobs: int) -> Iterator[CheckReport]:
+    """check's report on each forest of size n, in canonical order.
+
+    check runs once per unordered class through _map_classes; a passing
+    report is relabeled for each plane forest, and a failed class is
+    checked again forest by forest, so every report is the forest's own.
+    """
+    forests = list(enumerate_forests(n))
+    for forest, report in zip(forests, _map_classes(check, forests, jobs)):
+        label = forest.render()
+        if report.passed or report.forest == label:
+            yield replace(report, forest=label)
+        else:
+            yield check(forest)
+
+
 def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
           fail_fast: bool = False) -> list[CheckReport]:
     """Check one identity over every forest of size 0..max_n.
 
     Size-level identities run once per size, and a theorem's row may set
-    a larger first size.  Each unordered class is checked once, and a
-    failed class again on each forest, so every report is the forest's
-    own.  Results come back in canonical order regardless of the worker
-    count.
+    a larger first size.  Forest-level ones go through _forest_reports.
+    Results come back in canonical order regardless of the worker count.
     """
     row = _theorem(theorem_id)
     _check_max_n(max_n)
     _check_degree(degree)
     _check_jobs(jobs)
     check = lambda f: check_theorem(f, theorem_id, degree=degree)
-
-    def own(forest: Forest, report: CheckReport) -> CheckReport:
-        label = forest.render()
-        if report.passed or report.forest == label:
-            return replace(report, forest=label)
-        return check(forest)
-
     reports: list[CheckReport] = []
     for n in range(row.start, max_n + 1):
-        if row.scope == "size":
-            batch = [_check_size(theorem_id, row, n)]
-        else:
-            forests = list(enumerate_forests(n))
-            batch = map(own, forests, _map_classes(check, forests, jobs))
+        batch = ([_check_size(theorem_id, row, n)] if row.scope == "size"
+                 else _forest_reports(check, n, jobs))
         for report in batch:
             reports.append(report)
             if fail_fast and not report.passed:

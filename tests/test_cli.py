@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from hookforest import cli, verify
+from hookforest.forest import canonical_form, hook_lengths, parse_forest
 from hookforest.qpoly import BiPoly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -161,6 +162,40 @@ def test_bijections(capsys):
     assert "PASS mirror forest='(())'" in out
 
 
+def test_bijections_check_mirror_once_per_unordered_class(capsys, monkeypatch):
+    calls = []
+    check = verify.check_mirror
+    monkeypatch.setattr(verify, "check_mirror",
+                        lambda forest: calls.append(forest) or check(forest))
+    code, out, _ = run(capsys, "bijections", "--max-n", "4")
+    assert code == 0
+    assert out.count("PASS mirror") == 23
+    assert len(calls) == 17  # 1 + 1 + 2 + 4 + 9 classes
+
+
+def test_bijections_recheck_each_forest_of_a_failed_class(capsys, monkeypatch):
+    # a witness that reads the planar order tells the members of a class apart
+    bad = canonical_form(parse_forest("(())()"))
+    calls = []
+    check = verify.check_mirror
+
+    def fail_on_bad(forest):
+        calls.append(forest.render())
+        if canonical_form(forest) != bad:
+            return check(forest)
+        return verify.CheckReport("mirror", forest.render(), None, None, False,
+                                  f"hooks {hook_lengths(forest)[1:]}")
+
+    monkeypatch.setattr(verify, "check_mirror", fail_on_bad)
+    code, out, _ = run(capsys, "bijections", "--max-n", "3", "--format", "records")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["forest"], r["witness"]) for r in records if not r["pass"]] == [
+        ("(())()", "hooks (2, 1, 1)"), ("()(())", "hooks (1, 2, 1)")]
+    # 1 + 1 + 2 + 4 classes, then the failed class's second forest
+    assert len(calls) == 9 and calls[-1] == "()(())"
+
+
 def test_counterexample_none(capsys):
     code, out, _ = run(capsys, "counterexample", "--stat", "inv-b", "--vs", "fmaj",
                        "--mode", "signed", "--max-n", "3")
@@ -251,36 +286,3 @@ def test_ids_are_checked_before_sizes(capsys):
                          "--max-n", "-1")
     assert code == 2 and out == ""
     assert "unknown forest statistic 'nope'" in err
-
-
-def test_env_var_sets_default_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("HOOKFOREST_JOBS", "3")
-    seen = []
-    sweep = verify.sweep
-    monkeypatch.setattr(verify, "sweep",
-                        lambda *a, **kw: seen.append(kw["jobs"]) or sweep(*a, **kw))
-    code, _, _ = run(capsys, "sweep", "--max-n", "1", "--theorem", "thm-bw")
-    assert code == 0 and seen == [3]
-    code, _, _ = run(capsys, "sweep", "--max-n", "1", "--theorem", "thm-bw", "--jobs", "2")
-    assert code == 0 and seen == [3, 2]  # the option wins over the variable
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", ""],
-                         ids=["word", "zero", "negative", "empty"])
-@pytest.mark.parametrize("argv", [
-    ("sweep", "--max-n", "1", "--theorem", "thm-bw"),
-    ("counterexample", "--stat", "inv-b", "--vs", "fmaj", "--max-n", "1"),
-], ids=["sweep", "counterexample"])
-def test_bad_env_jobs_exit_2(capsys, monkeypatch, argv, value):
-    monkeypatch.setenv("HOOKFOREST_JOBS", value)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == f"error: HOOKFOREST_JOBS must be a positive integer, got {value!r}\n"
-
-
-def test_other_commands_ignore_env_jobs(capsys, monkeypatch):
-    monkeypatch.setenv("HOOKFOREST_JOBS", "abc")
-    code, out, _ = run(capsys, "dist", "--forest", "()", "--stat", "inv-b")
-    assert code == 0 and out == "1 + q\n"
-    code, _, _ = run(capsys, "sweep", "--max-n", "1", "--theorem", "thm-bw", "--jobs", "1")
-    assert code == 0

@@ -48,6 +48,20 @@ def test_rhs_fmaj_and_rmaj_share_the_polynomial():
             assert verify.closed_form("thm-rmaj", f) == formulas.rhs_inv_b(f)
 
 
+@pytest.mark.parametrize("theorem, message", [
+    ("eq-even-odd", "'eq-even-odd' has no closed form"),
+    ("eq-coset-fmaj", "'eq-coset-fmaj' has no closed form"),
+    ("thm-le1", "no labeling-free closed form for 'thm-le1'; "
+                "use the linext or partitions subcommand"),
+    ("lem-partition-gf", "no labeling-free closed form for 'lem-partition-gf'; "
+                         "use the linext or partitions subcommand"),
+])
+def test_closed_form_refuses_theorems_without_one(theorem, message):
+    with pytest.raises(ValueError) as info:
+        verify.closed_form(theorem, parse_forest("()"))
+    assert info.value.args == (message,)
+
+
 def test_rhs_inv_d():
     assert formulas.rhs_inv_d(parse_forest("")) == BiPoly.one()
     assert formulas.rhs_inv_d(parse_forest("()")) == BiPoly.one()

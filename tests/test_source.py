@@ -54,3 +54,13 @@ def test_every_public_function_has_a_caller():
               # the definition's own body does not count
               and in_src[node.name] == Counter(_named([node], True))[node.name]]
     assert unused == []
+
+
+def test_no_environment_knobs():
+    # options are the only settings: no code in src/ reads or writes the
+    # environment
+    found = [f"{path.name}:{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in _named([ast.parse(path.read_text(), filename=str(path))], False)
+             if name in ("environ", "getenv", "putenv")]
+    assert found == []
