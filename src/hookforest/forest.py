@@ -276,6 +276,36 @@ def enumerate_labelings(forest: Forest, mode: str = "signed") -> Iterator[tuple[
     yield from enumerate_words(forest.n, mode)
 
 
+def labeling_orbits(forest: Forest) -> Iterator[tuple[tuple[int, ...], int]]:
+    """One (w, weight) per orbit of the signed labelings under two moves:
+    keeping the sign-order pattern, and automorphisms of the unordered
+    forest.  The weights sum to labeling_count(forest.n, "signed").
+
+    A pattern is the relative order of w_1, ..., w_n and 0: the rank of
+    each label among the n, and the number k of negatives.  It stands
+    for C(n, k) labelings, one per choice of the negative absolute
+    values.  Two patterns with the same k are related by an automorphism
+    iff their labeled canonical forms agree: a vertex keyed by its rank
+    plus its children's keys, sorted.  w labels the orbit's first rank
+    vector in lexicographic order, ranks 1..k as -n..-(n-k+1) and the
+    others as 1..n-k, so it is the orbit's lexicographically first
+    labeling; weight is the orbit's size.
+    """
+    n, kids = forest.n, forest.children
+    # an automorphism keeps k, so the orbits of rank vectors serve every k
+    orbits: dict[tuple, list] = {}
+    for ranks in itertools.permutations(range(1, n + 1)):
+        key: list[tuple] = [()] * (n + 1)
+        # children are numbered after their parent, so they are keyed first
+        for v in range(n, 0, -1):
+            key[v] = (ranks[v - 1], *sorted(key[c] for c in kids[v]))
+        orbit = orbits.setdefault(tuple(sorted(key[r] for r in kids[0])), [ranks, 0])
+        orbit[1] += 1
+    for k in range(n + 1):
+        for ranks, size in orbits.values():
+            yield tuple(r - n - 1 if r <= k else r - k for r in ranks), size * math.comb(n, k)
+
+
 def labeling_count(n: int, mode: str) -> int:
     """Closed count of the labeling stream for a forest of size n."""
     _check_mode(mode)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from . import chaindp, formulas, stats
 from .forest import (Forest, canonical_form, chain_forest, enumerate_forests,
                      enumerate_labelings, enumerate_words, hook_lengths,
-                     labeling_count, linear_extensions)
+                     labeling_count, labeling_orbits, linear_extensions)
 from .qpoly import BiPoly, Series
 
 
@@ -126,7 +126,10 @@ class Theorem:
     either a tuple of (stat, aux) sides, each of whose distributions
     over the labelings or words of ``mode`` must equal the closed form,
     or a function: (forest, labeling, degree) -> (lhs, rhs) for the
-    labeled scope, forest -> CheckReport otherwise.
+    labeled scope, forest -> CheckReport otherwise.  A labeled row must
+    read the labels only through comparisons with each other and with 0
+    and must not depend on the order of siblings: it is evaluated once
+    per orbit of ``forest.labeling_orbits``.
     A sweep checks sizes ``start`` and up.
     """
 
@@ -242,12 +245,22 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
 
 
 def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
+    """Sums of both sides over the labelings, each orbit of
+    labeling_orbits checked once and counted with its weight.  A failing
+    orbit sends the check over every labeling in lexicographic order, so
+    the witness is the first failing labeling."""
     totals = None
-    for w in enumerate_labelings(forest, row.mode):
+    for w, weight in labeling_orbits(forest):
         lhs, rhs = row.lhs(forest, w, degree)
         if lhs != rhs:
+            # w is one of the labelings, so the scan stops at w at the latest
+            for w in enumerate_labelings(forest):
+                lhs, rhs = row.lhs(forest, w, degree)
+                if lhs != rhs:
+                    break
             return CheckReport(theorem_id, forest.render(), lhs, rhs, False,
                                f"labeling {w}: {_first_mismatch(lhs, rhs)}")
+        lhs, rhs = lhs * weight, rhs * weight
         totals = (lhs, rhs) if totals is None else (totals[0] + lhs, totals[1] + rhs)
     return CheckReport(theorem_id, forest.render(), *totals, True)
 

@@ -116,15 +116,15 @@ def test_criterion_06_bivariate_formulas_and_cancellation():
 
 def test_criterion_07_extension_generating_function():
     with _Timer() as t:
-        reports = verify.sweep("thm-le1", 4)
+        reports = verify.sweep("thm-le1", 5)
         ok = all(r.passed for r in reports)
-    _report("7 (maj-b over linear extensions, every signed labeling n<=4)",
+    _report("7 (maj-b over linear extensions, every signed labeling n<=5)",
             ok, t.elapsed)
 
 
 def test_criterion_08_partition_machinery():
     with _Timer() as t:
-        ok = all(r.passed for r in verify.sweep("lem-partition-gf", 3, degree=10))
+        ok = all(r.passed for r in verify.sweep("lem-partition-gf", 4, degree=10))
         for n in range(4):
             for forest in enumerate_forests(n):
                 for w in enumerate_labelings(forest, "signed"):
@@ -139,7 +139,7 @@ def test_criterion_08_partition_machinery():
                              == _plain_forest_partitions(forest, 10))
                 ok = ok and (verify.partition_lhs_series(forest, w_neg, 10)
                              == formulas.rhs_partition_gf(forest, w_neg, 10))
-    _report("8 (partition series, dec1 split, shift bijection, "
+    _report("8 (partition series n<=4; dec1 split, shift bijection, "
             "all-negative specialization, n<=3)", ok, t.elapsed)
 
 

@@ -9,7 +9,7 @@ from hookforest.forest import (Forest, ForestParseError, canonical_form,
                                chain_forest, comparable_pairs, enumerate_forests,
                                enumerate_labelings, enumerate_words,
                                forest_from_parents, hook_lengths,
-                               labeling_count, linear_extensions,
+                               labeling_count, labeling_orbits, linear_extensions,
                                parse_forest, parse_forest_input,
                                parse_labeling, validate_labeling)
 
@@ -274,6 +274,63 @@ def test_labelings_are_the_words_of_the_size():
     for f in enumerate_forests(3):
         for mode in ("ordinary", "signed", "even-signed"):
             assert list(enumerate_labelings(f, mode)) == list(enumerate_words(3, mode))
+
+
+def test_labeling_orbits_are_labelings_weighted_to_the_count():
+    for n in range(6):
+        for f in enumerate_forests(n):
+            orbits = list(labeling_orbits(f))
+            for w, _ in orbits:
+                assert validate_labeling(f, w) == w
+            assert len({w for w, _ in orbits}) == len(orbits)
+            assert sum(weight for _, weight in orbits) == labeling_count(n, "signed")
+
+
+def test_labeling_orbits_count():
+    # one signed orbit per labeled rooted forest on n vertices and position
+    # of 0 among the labels: (n + 1)^(n - 1) * (n + 1), summed over classes
+    counts = []
+    for n in range(1, 6):
+        classes = {canonical_form(f): f for f in enumerate_forests(n)}
+        counts.append(sum(len(list(labeling_orbits(f))) for f in classes.values()))
+    assert counts == [2, 9, 64, 625, 7776]
+    # the chain has no automorphism: one orbit per pattern
+    for n in range(6):
+        assert len(list(labeling_orbits(chain_forest(n)))) == math.factorial(n + 1)
+
+
+def _pattern(w):
+    # the relative order of the labels and 0
+    return tuple(sorted(range(len(w)), key=lambda i: w[i])), sum(1 for v in w if v < 0)
+
+
+def test_labeling_orbits_match_brute_force_automorphisms():
+    # automorphisms as the vertex permutations that keep the parent map
+    for n in range(5):
+        for f in enumerate_forests(n):
+            autos = [s for s in itertools.permutations(range(1, n + 1))
+                     if all(f.parent[s[v - 1]] == (s[f.parent[v] - 1] if f.parent[v] else 0)
+                            for v in range(1, n + 1))]
+            orbit_of = {}
+            for w in enumerate_labelings(f):
+                images = {_pattern(tuple(w[s[v] - 1] for v in range(n))) for s in autos}
+                orbit_of[w] = min(images)
+            orbits = {}
+            for w, key in orbit_of.items():  # lexicographic order
+                orbits.setdefault(key, []).append(w)
+            assert sorted(labeling_orbits(f)) == sorted(
+                (members[0], len(members)) for members in orbits.values())
+
+
+def test_labeling_orbit_examples():
+    # two roots swap: w ~ (w[1], w[0]); a pattern keeps the order of the
+    # labels and 0
+    assert list(labeling_orbits(parse_forest("()()"))) == [
+        ((1, 2), 2), ((-2, 1), 4), ((-2, -1), 2)]
+    # a chain: one orbit per pattern, of C(2, k) labelings
+    assert list(labeling_orbits(parse_forest("(())"))) == [
+        ((1, 2), 1), ((2, 1), 1), ((-2, 1), 2), ((1, -2), 2), ((-2, -1), 1), ((-1, -2), 1)]
+    assert list(labeling_orbits(parse_forest(""))) == [((), 1)]
 
 
 def test_bad_mode():

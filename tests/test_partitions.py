@@ -9,8 +9,9 @@ from functools import lru_cache
 import pytest
 
 from hookforest import formulas, stats, verify
-from hookforest.forest import (chain_forest, comparable_pairs, enumerate_forests,
-                               enumerate_labelings, hook_lengths, parse_forest)
+from hookforest.forest import (canonical_form, chain_forest, comparable_pairs,
+                               enumerate_forests, enumerate_labelings, hook_lengths,
+                               labeling_orbits, parse_forest)
 from hookforest.qpoly import BiPoly, Series, geometric_series, q_number
 
 DOT = parse_forest("()")
@@ -257,6 +258,18 @@ def test_partition_checks_exhaustive_n4():
     assert all(r.passed for r in verify.sweep("lem-partition-gf", 4, degree=10))
     for forest in enumerate_forests(4):
         for w in enumerate_labelings(forest, "signed"):
+            for check in (verify.check_decomposition_dec1, verify.check_partition_shift):
+                report = check(forest, w, 10)
+                assert report.passed, report.summary()
+
+
+@pytest.mark.slow
+def test_partition_checks_on_labeling_orbits_n5():
+    # dec1 and the shift read labels through comparisons only and ignore
+    # sibling order, so one labeling per orbit of one forest per class
+    classes = {canonical_form(f): f for f in enumerate_forests(5)}
+    for forest in classes.values():
+        for w, _ in labeling_orbits(forest):
             for check in (verify.check_decomposition_dec1, verify.check_partition_shift):
                 report = check(forest, w, 10)
                 assert report.passed, report.summary()

@@ -28,6 +28,8 @@ LABELING_FREE_IDS = ("thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
 ARGVS = (
     [["sweep", "--max-n", "3", "--degree", "6", "--theorem", t, "--format", "records"]
      for t in THEOREM_IDS]
+    + [["sweep", "--max-n", "4", "--degree", "6", "--theorem", t, "--format", "records"]
+       for t in ("thm-le1", "lem-partition-gf")]
     + [["rhs", "--forest", f, "--theorem", t, "--format", "records"]
        for t in LABELING_FREE_IDS for f in ("(()())", "()()")]
     + [["bijections", "--max-n", "3", "--format", "records"],

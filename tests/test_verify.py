@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import dataclasses
 import json
@@ -11,7 +12,7 @@ from hookforest import chaindp, formulas, stats, verify
 from hookforest.forest import (MODES, canonical_form, chain_forest,
                                enumerate_forests, enumerate_labelings,
                                enumerate_words, forest_from_parents,
-                               hook_lengths, parse_forest)
+                               hook_lengths, labeling_orbits, parse_forest)
 from hookforest.qpoly import BiPoly, q_number
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -144,6 +145,56 @@ def test_labeled_witness_names_the_first_failing_labeling(monkeypatch):
     assert report.witness == "labeling (1, -2): coefficient of t^0*q^2: lhs 1, rhs 2"
     assert report.lhs == verify.partition_lhs_series(chain2, (1, -2), 4)
     assert report.rhs == report.lhs + extra
+
+
+@pytest.mark.parametrize("theorem, degree, sizes", [
+    ("thm-le1", 10, range(5)),
+    ("lem-partition-gf", 6, range(5)),
+    ("lem-partition-gf", 10, range(4)),
+    pytest.param("lem-partition-gf", 10, [4], marks=pytest.mark.slow),
+])
+def test_labeled_rows_are_constant_on_labeling_orbits(theorem, degree, sizes):
+    pair = verify.THEOREMS[theorem].lhs
+    for n in sizes:
+        for forest in enumerate_forests(n):
+            every = collections.Counter(pair(forest, w, degree)
+                                        for w in enumerate_labelings(forest, "signed"))
+            weighted = collections.Counter()
+            for w, weight in labeling_orbits(forest):
+                weighted[pair(forest, w, degree)] += weight
+            assert every == weighted, (theorem, forest)
+
+
+def test_labeled_witness_is_rescanned_past_orbit_representatives(monkeypatch):
+    # ()() swaps its roots; a fault on a positive first label breaks that
+    # symmetry, so the orbit of (1, -2), represented by (-2, 1), passes,
+    # and the failing orbit of (1, 2) sends the check back to (1, -2)
+    forest = parse_forest("()()")
+    assert (1, -2) not in {w for w, _ in labeling_orbits(forest)}
+    linext, series = formulas.rhs_linext, formulas.rhs_partition_gf
+    extra = BiPoly.term(1, q=5)
+    monkeypatch.setattr(formulas, "rhs_linext",
+                        lambda f, w: linext(f, w) + (extra if w[0] > 0 else 0))
+    report = verify.check_theorem(forest, "thm-le1")
+    assert report.witness == "labeling (1, -2): coefficient of t^0*q^5: lhs 0, rhs 1"
+    assert report.lhs == linext(forest, (1, -2))
+    assert report.rhs == report.lhs + extra
+
+    extra = BiPoly.term(1, q=2)
+    monkeypatch.setattr(formulas, "rhs_partition_gf",
+                        lambda f, w, d: series(f, w, d) + (extra if w[0] > 0 else 0))
+    report = verify.check_theorem(forest, "lem-partition-gf", degree=4)
+    assert report.witness == "labeling (1, -2): coefficient of t^0*q^2: lhs 2, rhs 3"
+    assert report.lhs == verify.partition_lhs_series(forest, (1, -2), 4)
+    assert report.rhs == report.lhs + extra
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theorem", ["thm-le1", "lem-partition-gf"])
+def test_labeled_theorems_swept_to_n6(theorem):
+    reports = verify.sweep(theorem, 6, jobs=2)
+    assert len(reports) == sum(len(list(enumerate_forests(n))) for n in range(7))
+    assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
 
 
 def test_reiner_and_length_checks():
