@@ -28,11 +28,21 @@ walk enters its deepest subtree.  The state after each vertex is
   compares against it; the runs of labels between attach points are
   stored sorted, since later vertices only count them.  When no maj
   term is asked for, an attach label is sorted into the run above it.
-* The live absolute values, those on the chain or not yet used, are
-  relabeled 1..m in order.  Every later term compares labels only with
-  each other, so partial labelings that differ by this relabeling have
-  the same futures; it stands in for a used-label bitmask and also
-  forgets which values the finished subtrees took.
+* Labels are gap codes.  After i vertices the n - i unused values sit
+  at codes 2, 4, ..., 2(n - i), and a chain label keeps its sign but
+  is stored as +-(2j + 1), the gap between unused values 2j and
+  2j + 2.  Every later label is + or - an unused value, so its tests
+  against a chain label (a < x, a + x < 0, x > parent) depend only on
+  that label's sign and gap, and in the lowest gap not even on the
+  sign: that gap is always stored as +1.  Partial labelings that differ
+  only in the values finished subtrees took, or in the order of chain
+  labels inside one gap, share a state.
+* Taking an unused value c, by a push or by a leaf, merges the two
+  gaps beside it: codes above c move 2 toward 0 and a pushed label
+  becomes +-(c - 1).  A leaf's cut labels just leave the chain, and
+  unused values with no chain label between them give a leaf the same
+  terms and the same next state, so they are one move with a
+  multiplicity.
 * ``parity`` is the parity of the negative labels in even-signed mode
   and 0 otherwise.
 
@@ -121,14 +131,17 @@ def _coefficients(forest: Forest, terms) -> tuple[dict[str, int], int, int]:
     return coef, low * n, sum(c * top[t] for t, c in coef.items())
 
 
-def _free_runs(used: list[int], live: int):
-    """(first value, length) of each run of values in 1..live between
-    consecutive used values."""
-    prev = 0
-    for a in used + [live + 1]:
-        if a > prev + 1:
-            yield prev + 1, a - prev - 1
-        prev = a
+def _takes(n: int) -> dict[int, dict[int, int]]:
+    """For each unused code c, where every code goes when c is taken: the
+    gaps on both sides of c merge, codes above it move 2 toward 0, c
+    itself lands in the merged gap, and the lowest gap loses its sign."""
+    takes = {}
+    for c in range(2, 2 * n + 1, 2):
+        to = takes[c] = {}
+        for a in range(1, 2 * n + 2):
+            b = a - (a >= c) - (a > c)
+            to[a], to[-a] = b, -b if b > 1 else 1
+    return takes
 
 
 def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
@@ -146,41 +159,38 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
     exact = bool(w["maj"] or w["maj-b"])
     signs = 1 if mode == "ordinary" else 2
     parity = 1 if mode == "even-signed" else 0
+    takes = _takes(n)
 
     frontier = {((), 0): 1}
     for i, (root, hook, push, merge, keep) in enumerate(_steps(forest)):
         w_des = hook * (w["maj-b"] if root else w["maj"] + w["maj-b"])
+        unused = range(2, 2 * (n - i) + 2, 2)
         nxt: dict[tuple[tuple[int, ...], int], int] = {}
         get = nxt.get
         while frontier:
             (chain, par), hist = frontier.popitem()
-            live = len(chain) + n - i
-            used = sorted(map(abs, chain))
             above = 0 if root else chain[-1]
             ranks = sorted(chain) if count_below else ()
             if push:
-                stem, run = chain, ()
+                # every unused value gives its own next chain; the label
+                # is inserted into the sorted tail from `cut` on
                 if merge is not None:
-                    stem, run = chain[:merge], chain[merge:]
-                    if exact:
-                        stem, run = stem + tuple(sorted(run)), ()
-                # every free value gives its own next chain
-                moves = [(y, hist, None) for y in range(1, live + 1) if y not in used]
+                    chain = chain[:merge] + tuple(sorted(chain[merge:]))
+                cut = len(chain) if merge is None or exact else merge
+                moves = [(c, hist) for c in unused]
             else:
-                # the leaf's label and the cut labels leave the live set;
-                # the free values between two used ones give the same
-                # terms and the same relabeled chain
-                head = chain[:keep]
-                gone = sorted(map(abs, chain[keep:]))
-                moves = []
-                for y, count in _free_runs(used, live):
-                    removed = [y] + gone
-                    moves.append((y, hist * count, tuple(
-                        a - sum(r < a for r in removed) if a > 0
-                        else a + sum(r < -a for r in removed)
-                        for a in head)))
-            for y, part, after in moves:
-                for x in (y, -y)[:signs]:
+                # the leaf's value and the cut labels leave; unused values
+                # with no chain label between them give the same terms and
+                # the same next chain
+                taken = {abs(a) for a in chain}
+                starts = [c for c in unused if c == 2 or c - 1 in taken]
+                moves = [(c, hist * ((end - c) // 2))
+                         for c, end in zip(starts, starts[1:] + [unused.stop])]
+                chain = chain[:keep]
+            for c, part in moves:
+                to = takes[c]
+                after = tuple(map(to.__getitem__, chain))
+                for x in (c, -c)[:signs]:
                     if x > 0:
                         shift, key_par = w_pos, par
                     else:
@@ -189,12 +199,12 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                         shift += w_inv * bisect_left(ranks, x) + w_n2 * bisect_left(ranks, -x)
                     if x > above:
                         shift += w_des
-                    if not push:
-                        key = (after, key_par)
-                    elif run:
-                        key = (stem + tuple(sorted(run + (x,))), key_par)
+                    if push:
+                        y = to[x]
+                        j = bisect_left(after, y, cut)
+                        key = (after[:j] + (y,) + after[j:], key_par)
                     else:
-                        key = (stem + (x,), key_par)
+                        key = (after, key_par)
                     nxt[key] = get(key, 0) + (part << shift)
         frontier = nxt
 

@@ -463,6 +463,17 @@ def _assert_dp_matches(forests, cases):
                     (forest, stat, mode, aux)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("paren", ["(((((())))))", "((()())(()))", "(()(()))(())"])
+def test_dp_matches_brute_force_across_gaps_n6(paren):
+    # pushes, leaf runs and cuts below attach points all cross gaps here
+    cases = [(stat, mode, aux) for mode in ("signed", "even-signed")
+             for stat in stats.FOREST_TERMS
+             if not (stat == stats.EVEN_SIGNED_STAT and mode == "signed")
+             for aux in (None, "n1-f")]
+    _assert_dp_matches([parse_forest(paren)], cases)
+
+
 def test_term_stats_cover_the_chaindp_terms():
     assert set(stats.TERM_STATS) == set(chaindp.TERMS)
 
