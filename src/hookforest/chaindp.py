@@ -51,15 +51,18 @@ count of (a, s) sits in the k-bit slot a*S + s, where k exceeds the
 bit length of the number of labelings and S exceeds the largest stat
 exponent.  Adding a vertex's terms is then a left shift and merging two
 partial histograms an addition; no slot can overflow into the next,
-because no count exceeds the number of labelings.
+because no count exceeds the number of labelings.  The final histogram
+is read out by ``qpoly._decode``, the decoder of the packed closed
+forms, with the constants of the sign terms as exponent offsets.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 
 from .forest import Forest, hook_lengths, labeling_count
-from .qpoly import BiPoly
+from .qpoly import BiPoly, _decode
 
 TERMS = ("inv", "n2", "n1", "p", "maj", "maj-b")
 
@@ -131,6 +134,7 @@ def _coefficients(forest: Forest, terms) -> tuple[dict[str, int], int, int]:
     return coef, low * n, sum(c * top[t] for t, c in coef.items())
 
 
+@lru_cache(maxsize=None)
 def _takes(n: int) -> dict[int, dict[int, int]]:
     """For each unused code c, where every code goes when c is taken: the
     gaps on both sides of c merge, codes above it move 2 toward 0, c
@@ -208,15 +212,4 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                     nxt[key] = get(key, 0) + (part << shift)
         frontier = nxt
 
-    total = frontier.get(((), 0), 0)
-    slot = (1 << k) - 1
-    out: dict[tuple[int, int], int] = {}
-    index = 0
-    while total:
-        c = total & slot
-        if c:
-            a, s = divmod(index, width)
-            out[(a + aux_off, s + stat_off)] = c
-        total >>= k
-        index += 1
-    return BiPoly(out)
+    return _decode(frontier.get(((), 0), 0), k, width, aux_off, stat_off)

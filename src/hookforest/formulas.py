@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import stats
 from .forest import Forest, hook_lengths
-from .qpoly import BiPoly, Series, geometric_series, q_factorial, q_number
+from .qpoly import BiPoly, Series, _product, geometric_series, q_factorial, q_number
 
 
 def extension_count(forest: Forest) -> int:
@@ -25,13 +25,15 @@ def extension_count(forest: Forest) -> int:
     return count
 
 
-def _hook_product(forest: Forest, factor, out=None):
-    """out (by default e(F)) times factor(h_u) for every vertex u."""
-    if out is None:
-        out = BiPoly.term(extension_count(forest))
-    for h in hook_lengths(forest)[1:]:
-        out = out * factor(h)
-    return out
+def _hook_product(forest: Forest, factor, scale: int | None = None,
+                  degree: int | None = None):
+    """scale (by default e(F)) times factor(h_u) for every vertex u, as one
+    packed product (``qpoly._product``); with a degree, the Series
+    truncated there.  Every factor has nonnegative coefficients."""
+    if scale is None:
+        scale = extension_count(forest)
+    return _product([BiPoly.term(scale)] + [factor(h) for h in hook_lengths(forest)[1:]],
+                    degree)
 
 
 def rhs_bw(forest: Forest) -> BiPoly:
@@ -64,13 +66,14 @@ def rhs_bivariate_inv(forest: Forest) -> BiPoly:
 
 def rhs_bivariate_majb(forest: Forest) -> BiPoly:
     """Joint (positives, maj-b) distribution: e(F) * (1+tq)^n * prod [h_u]."""
-    return _hook_product(forest, q_number) * BiPoly({(0, 0): 1, (1, 1): 1}) ** forest.n
+    # one factor (1+tq) per vertex
+    return _hook_product(forest, lambda h: BiPoly({(0, 0): 1, (1, 1): 1}) * q_number(h))
 
 
 @lru_cache(maxsize=None)
 def _linext_quotient(forest: Forest) -> BiPoly:
     # [n]! / prod [h_u]; a polynomial with nonnegative integer coefficients
-    return q_factorial(forest.n).div_exact_q(_hook_product(forest, q_number, BiPoly.one()))
+    return q_factorial(forest.n).div_exact_q(_hook_product(forest, q_number, 1))
 
 
 def rhs_linext(forest: Forest, w) -> BiPoly:
@@ -81,8 +84,7 @@ def rhs_linext(forest: Forest, w) -> BiPoly:
 @lru_cache(maxsize=None)
 def _partition_product(forest: Forest, degree: int) -> Series:
     # prod 1 / (1 - q^{h_u}), truncated at the degree
-    return _hook_product(forest, lambda h: geometric_series(h, degree),
-                         Series(BiPoly.one(), degree))
+    return _hook_product(forest, lambda h: geometric_series(h, degree).poly, 1, degree)
 
 
 def rhs_partition_gf(forest: Forest, w, degree: int) -> Series:

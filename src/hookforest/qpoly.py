@@ -3,12 +3,16 @@
 The distributions computed elsewhere reach coefficients of order
 2^n * n!, so everything here is plain Python integer arithmetic and
 nothing ever rounds.  ``BiPoly`` is the ring element; ``Series`` is a
-q-truncated view used for the infinite-product identities.
+q-truncated view used for the infinite-product identities.  Products of
+polynomials with nonnegative coefficients, such as the hook-length
+closed forms, are taken on a packed form: one int per polynomial.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+import math
+from collections.abc import Iterable, Mapping
+from typing import Union
 
 
 class BiPoly:
@@ -38,6 +42,15 @@ class BiPoly:
                 else:
                     del clean[key]
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict[tuple[int, int], int]) -> "BiPoly":
+        """The polynomial of a dict the library built itself, kept as is:
+        its exponents are nonnegative ints and its coefficients nonzero
+        ints, so the checks of the constructor are skipped."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -94,15 +107,14 @@ class BiPoly:
                 out[key] = total
             else:
                 out.pop(key, None)
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+        return BiPoly._trusted(out)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
+            return BiPoly._trusted({key: c * other for key, c in self._terms.items()}
+                                   if other else {})
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict[tuple[int, int], int] = {}
@@ -114,9 +126,7 @@ class BiPoly:
                     out[key] = total
                 else:
                     del out[key]
-        result = BiPoly.__new__(BiPoly)
-        result._terms = out
-        return result
+        return BiPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -137,19 +147,23 @@ class BiPoly:
 
     def div_int(self, k: int) -> "BiPoly":
         """Divide every coefficient by k, exactly."""
+        if not isinstance(k, int):
+            raise TypeError("the divisor must be an int")
         out = {}
         for key, c in self._terms.items():
             quo, rem = divmod(c, k)
             if rem:
                 raise ValueError(f"coefficient {c} is not divisible by {k}")
             out[key] = quo
-        return BiPoly(out)
+        return BiPoly._trusted(out)
 
     def shift_q(self, k: int) -> "BiPoly":
         """Multiply by q^k."""
+        if not isinstance(k, int):
+            raise TypeError("the shift must be an int")
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        return BiPoly({(a, b + k): c for (a, b), c in self._terms.items()})
+        return BiPoly._trusted({(a, b + k): c for (a, b), c in self._terms.items()})
 
     def div_exact_q(self, divisor: "BiPoly") -> "BiPoly":
         """Long division by a t-free polynomial; the remainder must vanish."""
@@ -180,7 +194,7 @@ class BiPoly:
                     num[i + j] -= q * d
         if any(num):
             raise ValueError("nonzero remainder in polynomial division")
-        return BiPoly({(0, i): c for i, c in enumerate(quot) if c})
+        return BiPoly._trusted({(0, i): c for i, c in enumerate(quot) if c})
 
     def to_triples(self) -> list[list[int]]:
         """Machine form: [t-exp, q-exp, coeff] triples sorted by exponents."""
@@ -221,17 +235,14 @@ def q_number(m: int) -> BiPoly:
     """The q-analogue of m: 1 + q + ... + q^(m-1)."""
     if m < 1:
         raise ValueError("q-number needs a positive argument")
-    return BiPoly({(0, k): 1 for k in range(m)})
+    return BiPoly._trusted({(0, k): 1 for k in range(m)})
 
 
 def q_factorial(m: int) -> BiPoly:
     """Product of the q-numbers 1..m, with the empty product equal to 1."""
     if m < 0:
         raise ValueError("q-factorial needs a nonnegative argument")
-    out = BiPoly.one()
-    for k in range(2, m + 1):
-        out = out * q_number(k)
-    return out
+    return _product([q_number(k) for k in range(2, m + 1)])
 
 
 class Series:
@@ -249,7 +260,8 @@ class Series:
             raise ValueError("truncation degree must be nonnegative")
         if poly.t_degree:
             raise ValueError("series coefficients must be t-free")
-        self.poly = BiPoly({(0, b): c for (_, b), c in poly._terms.items() if b <= degree})
+        self.poly = BiPoly._trusted({key: c for key, c in poly._terms.items()
+                                     if key[1] <= degree})
         self.degree = degree
 
     def _coerce(self, other) -> "Series":
@@ -300,4 +312,70 @@ def geometric_series(h: int, degree: int) -> Series:
     """Expansion of 1 / (1 - q^h) up to the truncation degree."""
     if h < 1:
         raise ValueError("geometric series needs a positive step")
-    return Series(BiPoly({(0, k * h): 1 for k in range(degree // h + 1)}), degree)
+    return Series(BiPoly._trusted({(0, k * h): 1 for k in range(degree // h + 1)}), degree)
+
+
+# ---------------------------------------------------------------------------
+# the packed form: products of polynomials with nonnegative coefficients
+
+def _pack(poly: BiPoly, k: int, width: int) -> int:
+    """The polynomial as one int, the coefficient of t^a q^b in the k-bit
+    slot a*width + b.  Packed polynomials multiply as ints while every
+    coefficient of the result lies in [0, 2^k) and every q-exponent is
+    below width, so that no slot spills into the next."""
+    return sum(c << k * (a * width + b) for (a, b), c in poly._terms.items())
+
+
+def _decode(value: int, k: int, width: int, t_off: int = 0, q_off: int = 0) -> BiPoly:
+    """The polynomial packed in a nonnegative int: the k-bit slot
+    a*width + b holds the coefficient of t^(a + t_off) q^(b + q_off).
+    A filled slot whose exponent would be negative raises ValueError."""
+    slot = (1 << k) - 1
+    out: dict[tuple[int, int], int] = {}
+    # shifting the whole int once per slot costs time quadratic in its
+    # length, so it is halved until a piece holds at most 16 slots
+    pieces = [(value, 0, -(-value.bit_length() // k))]
+    while pieces:
+        bits, index, count = pieces.pop()
+        if count > 16:
+            half = count // 2
+            for piece in ((bits >> k * half, index + half, count - half),
+                          (bits & ((1 << k * half) - 1), index, half)):
+                if piece[0]:
+                    pieces.append(piece)
+            continue
+        while bits:
+            c = bits & slot
+            if c:
+                a, b = divmod(index, width)
+                a += t_off
+                b += q_off
+                if a < 0 or b < 0:
+                    raise ValueError(f"negative exponent in term t^{a}*q^{b}")
+                out[(a, b)] = c
+            bits >>= k
+            index += 1
+    return BiPoly._trusted(out)
+
+
+def _product(factors: list[BiPoly], degree: int | None = None) -> Union[BiPoly, Series]:
+    """The product of polynomials with nonnegative coefficients; with a
+    degree, the Series truncated there.
+
+    No coefficient of the product exceeds its coefficient sum, the
+    product of the factors' sums, and its q-degree is the sum of theirs,
+    so the factors are packed with slots of that sum's bit length in
+    rows longer than that degree, multiplied as ints and decoded once.
+    A truncated product has t-free factors and one row, cut after the
+    slot of the degree at every step.
+    """
+    k = max(math.prod(sum(f._terms.values()) for f in factors).bit_length(), 1)
+    width = 1 + (sum(f.q_degree for f in factors) if degree is None else degree)
+    keep = (1 << k * width) - 1
+    value = 1
+    for f in factors:
+        value *= _pack(f, k, width)
+        if degree is not None:
+            value &= keep
+    poly = _decode(value, k, width)
+    return poly if degree is None else Series(poly, degree)

@@ -246,12 +246,14 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
 
 def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
     """Sums of both sides over the labelings, each orbit of
-    labeling_orbits checked once and counted with its weight.  A failing
-    orbit sends the check over every labeling in lexicographic order, so
-    the witness is the first failing labeling."""
-    totals = None
+    labeling_orbits checked once and its coefficients added with its
+    weight; the two totals are built at the end.  A failing orbit sends
+    the check over every labeling in lexicographic order, so the witness
+    is the first failing labeling."""
+    sums: tuple[dict, dict] = ({}, {})
     for w, weight in labeling_orbits(forest):
-        lhs, rhs = row.lhs(forest, w, degree)
+        sides = row.lhs(forest, w, degree)
+        lhs, rhs = sides
         if lhs != rhs:
             # w is one of the labelings, so the scan stops at w at the latest
             for w in enumerate_labelings(forest):
@@ -260,9 +262,18 @@ def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -
                     break
             return CheckReport(theorem_id, forest.render(), lhs, rhs, False,
                                f"labeling {w}: {_first_mismatch(lhs, rhs)}")
-        lhs, rhs = lhs * weight, rhs * weight
-        totals = (lhs, rhs) if totals is None else (totals[0] + lhs, totals[1] + rhs)
-    return CheckReport(theorem_id, forest.render(), *totals, True)
+        for side, total in zip(sides, sums):
+            for key, c in (side.poly if isinstance(side, Series) else side).items():
+                total[key] = total.get(key, 0) + c * weight
+    return CheckReport(theorem_id, forest.render(),
+                       *(_total_like(side, total) for side, total in zip(sides, sums)), True)
+
+
+def _total_like(side: Union[BiPoly, Series], terms: dict) -> Union[BiPoly, Series]:
+    """The polynomial of summed coefficients, a Series of side's degree
+    when side is one."""
+    poly = BiPoly._trusted({key: c for key, c in terms.items() if c})
+    return Series(poly, side.degree) if isinstance(side, Series) else poly
 
 
 def check_even_odd(forest: Forest) -> CheckReport:

@@ -2,8 +2,8 @@ import pytest
 
 from hookforest import formulas, verify
 from hookforest.forest import (chain_forest, enumerate_forests,
-                               enumerate_labelings, labeling_count,
-                               parse_forest)
+                               enumerate_labelings, hook_lengths,
+                               labeling_count, parse_forest)
 from hookforest.qpoly import BiPoly, Series, q_factorial, q_number
 
 
@@ -192,3 +192,55 @@ def test_registry_contents():
     # the per-labeling closed form of thm-le1 is rhs_linext
     star, w = parse_forest("(()())"), (2, -3, 1)
     assert verify.THEOREMS["thm-le1"].lhs(star, w, 0)[1] == formulas.rhs_linext(star, w)
+
+
+# ---------------------------------------------------------------------------
+# the packed products against a dict convolution: the references multiply
+# hand-built factors one at a time with BiPoly.__mul__
+
+def _q_number(m):
+    return BiPoly({(0, j): 1 for j in range(m)})
+
+
+def _convolved(forest, factor, scale=None):
+    out = BiPoly.term(formulas.extension_count(forest) if scale is None else scale)
+    for h in hook_lengths(forest)[1:]:
+        out = out * factor(h)
+    return out
+
+
+CONVOLVED = {
+    "rhs_bw": lambda f: _convolved(f, _q_number),
+    "rhs_inv_b": lambda f: _convolved(f, lambda h: _q_number(2 * h)),
+    "rhs_inv_d": lambda f: _convolved(
+        f, lambda h: (BiPoly({(0, 0): 1}) + BiPoly({(0, h - 1): 1})) * _q_number(h)
+    ).div_int(2) if f.n else BiPoly.one(),
+    "rhs_bivariate_inv": lambda f: _convolved(f, lambda h: BiPoly({(0, 0): 1, (1, h): 1})
+                                              * _q_number(h)),
+    "rhs_bivariate_majb": lambda f: _convolved(f, _q_number)
+                                    * BiPoly({(0, 0): 1, (1, 1): 1}) ** f.n,
+}
+
+
+def test_packed_closed_forms_match_dict_convolution():
+    for n in range(8):
+        q_fact = BiPoly.one()
+        for m in range(1, n + 1):
+            q_fact = q_fact * _q_number(m)
+        for forest in enumerate_forests(n):
+            for name, reference in CONVOLVED.items():
+                assert getattr(formulas, name)(forest) == reference(forest), (name, forest)
+            # [n]! / prod [h_u], multiplied back
+            quotient = formulas._linext_quotient(forest)
+            assert quotient * _convolved(forest, _q_number, 1) == q_fact, forest
+
+
+@pytest.mark.parametrize("degree", [0, 6, 10])
+def test_packed_partition_product_matches_dict_convolution(degree):
+    for n in range(6):
+        for forest in enumerate_forests(n):
+            full = _convolved(forest, lambda h: BiPoly({(0, j * h): 1
+                                                        for j in range(degree // h + 1)}), 1)
+            truncated = BiPoly(term for term in full.items() if term[0][1] <= degree)
+            product = formulas._partition_product(forest, degree)
+            assert (product.degree, product.poly) == (degree, truncated), forest

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hookforest.qpoly import BiPoly, Series, geometric_series, q_factorial, q_number
+from hookforest.qpoly import (BiPoly, Series, _decode, _pack, geometric_series,
+                              q_factorial, q_number)
 
 
 def poly(mapping):
@@ -20,6 +21,18 @@ def test_negative_exponent_rejected():
         BiPoly({(0, -1): 1})
     with pytest.raises(ValueError):
         BiPoly({(-1, 0): 1})
+
+
+def test_external_input_is_validated():
+    # only polynomials the library builds itself skip these checks
+    with pytest.raises(TypeError):
+        BiPoly({(0.5, 0): 1})
+    with pytest.raises(TypeError):
+        BiPoly({(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        q_number(2).shift_q(0.5)
+    with pytest.raises(TypeError):
+        q_number(2).div_int(0.5)
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -54,6 +67,9 @@ def test_ring_examples():
 
 def test_int_mixing():
     assert q_number(2) * 2 == BiPoly({(0, 0): 2, (0, 1): 2})
+    assert (q_number(2) * 0).is_zero()
+    assert -3 * q_number(2) == BiPoly({(0, 0): -3, (0, 1): -3})
+    assert Series(q_number(3), 1) * 2 == Series(BiPoly({(0, 0): 2, (0, 1): 2}), 1)
     assert 1 + BiPoly.term(1, q=1) == q_number(2)
     assert q_number(2) + -1 == BiPoly.term(1, q=1)
 
@@ -163,3 +179,27 @@ def test_series_equality_and_render():
         Series(BiPoly.term(1, t=1), 3)
     with pytest.raises(ValueError):
         s.coeff(5)
+
+
+@pytest.mark.parametrize("terms, k, width", [
+    ({}, 3, 1),                                     # the zero polynomial
+    ({(0, 0): 7}, 3, 1),                            # a constant
+    ({(1, 0): 1, (4, 0): 2}, 2, 1),                 # t-only terms, one slot per row
+    ({(0, 0): 31, (0, 1): 31, (0, 2): 1, (1, 0): 31, (2, 3): 31}, 5, 4),  # 2^k - 1
+    ({(a, b): (5 * a + b) % 127 + 1 for a in range(3) for b in range(0, 40, 3)}, 7, 40),
+])
+def test_pack_decode_round_trip(terms, k, width):
+    poly = BiPoly(terms)
+    assert _decode(_pack(poly, k, width), k, width) == poly
+
+
+def test_decode_offsets():
+    # chaindp moves negative sign terms onto the other sign and hands the
+    # constant to the decoder as a negative offset
+    packed = _pack(BiPoly({(2, 3): 1, (3, 5): 4}), 3, 6)
+    assert _decode(packed, 3, 6, -2, -3) == BiPoly({(0, 0): 1, (1, 2): 4})
+    assert _decode(packed, 3, 6, 1, 0) == BiPoly({(3, 3): 1, (4, 5): 4})
+    with pytest.raises(ValueError, match="negative exponent"):
+        _decode(packed, 3, 6, -3, 0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        _decode(packed, 3, 6, 0, -4)

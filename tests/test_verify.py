@@ -189,6 +189,18 @@ def test_labeled_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     assert report.rhs == report.lhs + extra
 
 
+@pytest.mark.parametrize("theorem, degree", [
+    ("thm-le1", 10), ("lem-partition-gf", 6), ("lem-partition-gf", 10)])
+def test_labeled_totals_are_the_sums_over_every_labeling(theorem, degree):
+    pair = verify.THEOREMS[theorem].lhs
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            report = verify.check_theorem(forest, theorem, degree=degree)
+            assert report.passed, report.summary()
+            lhs, rhs = zip(*(pair(forest, w, degree) for w in enumerate_labelings(forest)))
+            assert (report.lhs, report.rhs) == (sum(lhs[1:], lhs[0]), sum(rhs[1:], rhs[0]))
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("theorem", ["thm-le1", "lem-partition-gf"])
 def test_labeled_theorems_swept_to_n6(theorem):
@@ -519,6 +531,14 @@ def test_term_distribution_rejects_bad_terms():
         chaindp.term_distribution(dot, {"nope": 1})
     with pytest.raises(ValueError, match="only the sign terms"):
         chaindp.term_distribution(dot, {"inv": -1})
+    # -p takes negative values, and the decoder refuses their slots
+    with pytest.raises(ValueError, match="negative exponent"):
+        chaindp.term_distribution(dot, {"p": -1})
+
+
+def test_callable_statistics_are_validated():
+    with pytest.raises(TypeError):
+        verify.distribution(parse_forest("(())"), lambda forest, w: 0.5)
 
 
 # ---------------------------------------------------------------------------
