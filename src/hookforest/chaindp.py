@@ -23,11 +23,16 @@ walk enters its deepest subtree.  The state after each vertex is
 
 * ``chain`` holds the labels on the path from the root down to the
   parent of the next vertex, the ancestors of every vertex still to
-  come.  An ancestor that is the parent of some later vertex (an
-  attach point) keeps its exact label, since that child's maj term
-  compares against it; the runs of labels between attach points are
-  stored sorted, since later vertices only count them.  When no maj
-  term is asked for, an attach label is sorted into the run above it.
+  come.  A label is stored only while some later term can read it.
+  An ancestor that is the parent of some later vertex (an attach
+  point) keeps its exact label, since that child's maj term compares
+  against it.  The labels between attach points form runs that only
+  the inv and n2 terms read, and only to count them, so a run is
+  stored sorted.  When neither the stat nor the aux has a maj term, an
+  attach label is sorted into the run above it; when neither has an
+  inv or n2 term, a run is dropped instead: each of its labels becomes
+  the placeholder 0, which keeps every ancestor at its depth, and only
+  the attach points tell states apart.
 * Labels are gap codes.  After i vertices the n - i unused values sit
   at codes 2, 4, ..., 2(n - i), and a chain label keeps its sign but
   is stored as +-(2j + 1), the gap between unused values 2j and
@@ -72,7 +77,7 @@ def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
     merge start, keep).
 
     With children, the next chain is the current one plus u's label,
-    after sorting ``chain[merge:]`` into one run when u is the last
+    after merging ``chain[merge:]`` into one run when u is the last
     child of its parent, which stops being an attach point.  For a
     leaf, the next chain is the first ``keep`` labels of the current
     one.
@@ -138,10 +143,11 @@ def _coefficients(forest: Forest, terms) -> tuple[dict[str, int], int, int]:
 def _takes(n: int) -> dict[int, dict[int, int]]:
     """For each unused code c, where every code goes when c is taken: the
     gaps on both sides of c merge, codes above it move 2 toward 0, c
-    itself lands in the merged gap, and the lowest gap loses its sign."""
+    itself lands in the merged gap, and the lowest gap loses its sign.
+    The placeholder 0 of a dropped label stays 0."""
     takes = {}
     for c in range(2, 2 * n + 1, 2):
-        to = takes[c] = {}
+        to = takes[c] = {0: 0}
         for a in range(1, 2 * n + 2):
             b = a - (a >= c) - (a > c)
             to[a], to[-a] = b, -b if b > 1 else 1
@@ -179,7 +185,8 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                 # every unused value gives its own next chain; the label
                 # is inserted into the sorted tail from `cut` on
                 if merge is not None:
-                    chain = chain[:merge] + tuple(sorted(chain[merge:]))
+                    run = sorted(chain[merge:]) if count_below else (0,) * (len(chain) - merge)
+                    chain = chain[:merge] + tuple(run)
                 cut = len(chain) if merge is None or exact else merge
                 moves = [(c, hist) for c in unused]
             else:

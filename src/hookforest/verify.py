@@ -565,11 +565,12 @@ def _map_classes(fn: Callable, forests: list[Forest], jobs: int) -> list:
     for key, forest in zip(keys, forests):
         first.setdefault(key, forest)
     todo = list(first.values())
+    most = _workers(jobs, len(todo))
     results = []
     start = time.perf_counter()
     for done, forest in enumerate(todo):
         left = len(todo) - done
-        workers = _workers(jobs, left)
+        workers = min(most, left)
         if (workers > 1 and done
                 and (time.perf_counter() - start) / done * left > POOL_THRESHOLD_S):
             # imported only here: they add about 20 ms to every start-up

@@ -269,6 +269,13 @@ def test_workers_are_capped_by_jobs_cpus_and_items(monkeypatch):
     assert verify._workers(64, 100) == 8 and verify._workers(5, 100) == 5
 
 
+def test_map_classes_reads_the_cpu_count_once_per_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: calls.append(1) or 1)
+    assert len(verify.sweep("thm-inv-b", 5, jobs=2)) == 65
+    assert len(calls) == 6
+
+
 def test_small_sweeps_start_no_process(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -482,7 +489,7 @@ def test_dp_matches_brute_force_across_gaps_n6(paren):
     cases = [(stat, mode, aux) for mode in ("signed", "even-signed")
              for stat in stats.FOREST_TERMS
              if not (stat == stats.EVEN_SIGNED_STAT and mode == "signed")
-             for aux in (None, "n1-f")]
+             for aux in (None, "n1-f", "p-f")]
     _assert_dp_matches([parse_forest(paren)], cases)
 
 
@@ -512,6 +519,26 @@ def test_dp_matches_brute_force_drawn_forests(parents, case):
     forest = forest_from_parents(list(parents))
     stat, mode, aux = case
     assert verify.distribution(forest, stat, mode, aux=aux) == _oracle(forest, stat, mode, aux)
+
+
+def _term_stat(terms):
+    return lambda forest, w: sum(c * stats.TERM_STATS[t](forest, w) for t, c in terms.items())
+
+
+@pytest.mark.parametrize("stat, aux", [("maj-b-f", "inv-f"), ("fmaj-f", "n2-f"),
+                                       ("maj-f", "inv-b-f"), ("rmaj-f", "inv-d-f")])
+def test_dp_keeps_the_runs_an_aux_count_term_reads(stat, aux):
+    # the stat alone has no inv or n2 term, so only the aux's count terms
+    # keep the labels between attach points; the raw term sums let inv-d
+    # run in signed mode too
+    stat_terms, aux_terms = stats.FOREST_TERMS[stat], stats.FOREST_TERMS[aux]
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            for mode in MODES:
+                brute = verify.distribution(forest, _term_stat(stat_terms), mode,
+                                            aux=_term_stat(aux_terms))
+                assert chaindp.term_distribution(forest, stat_terms, mode, aux_terms) == brute, \
+                    (forest, mode)
 
 
 def test_even_odd_terms_match_brute_force():
@@ -592,11 +619,14 @@ def test_brute_force_agrees_with_the_canonical_form():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("theorem", DIST_THEOREMS + ["eq-even-odd"])
-def test_distribution_theorems_swept_to_n8(theorem):
-    reports = verify.sweep(theorem, 8, jobs=2)
+@pytest.mark.parametrize("theorem, max_n", [
+    # the chain DP keeps attach labels alone for the maj rows, so they go further
+    (theorem, 9 if theorem in ("thm-fmaj", "thm-rmaj", "thm-bivariate-majB") else 8)
+    for theorem in DIST_THEOREMS + ["eq-even-odd"]])
+def test_distribution_theorems_swept(theorem, max_n):
+    reports = verify.sweep(theorem, max_n, jobs=2)
     assert len(reports) == sum(len(list(enumerate_forests(n)))
-                               for n in range(verify.THEOREMS[theorem].start, 9))
+                               for n in range(verify.THEOREMS[theorem].start, max_n + 1))
     assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
 
 
