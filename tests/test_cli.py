@@ -278,6 +278,17 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_errors_print_their_message_alone(capsys):
+    # a parse error is a ValueError; a KeyError's message prints without quotes
+    assert run(capsys, "check", "--forest", "(()", "--theorem", "thm-bw") == (
+        2, "", "error: unclosed '(' (offset 3)\n")
+    assert run(capsys, "check", "--forest", "()", "--theorem", "nope") == (
+        2, "", "error: unknown theorem id 'nope'; known ids: thm-bw, thm-inv-b, "
+               "thm-inv-d, thm-fmaj, thm-rmaj, thm-bivariate-inv, thm-bivariate-majB, "
+               "thm-le1, lem-partition-gf, eq-reiner, len-b, len-d, eq-even-odd, "
+               "eq-coset-fmaj\n")
+
+
 def test_ids_are_checked_before_sizes(capsys):
     code, out, err = run(capsys, "sweep", "--max-n", "-1", "--theorem", "nope")
     assert code == 2 and out == ""

@@ -37,6 +37,12 @@ ARGVS = (
        ["partitions", "--forest", "(())()", "--labeling=-2,3,1", "--degree", "6",
         "--format", "records"],
        ["dist", "--forest", "((())())", "--stat", "rmaj", "--aux", "n1",
+        "--format", "records"],
+       ["counterexample", "--stat", "nmaj-f", "--vs", "inv-b-f", "--mode", "signed",
+        "--max-n", "5", "--format", "records"],
+       ["counterexample", "--stat", "dmaj-f", "--vs", "inv-d-f", "--mode", "even-signed",
+        "--max-n", "5", "--format", "records"],
+       ["counterexample", "--stat", "inv-b-f", "--vs", "fmaj-f", "--max-n", "4",
         "--format", "records"]]
 )
 
