@@ -16,8 +16,8 @@ import json
 import sys
 
 from . import formulas, stats, verify
-from .forest import (MODES, ForestParseError, linear_extensions,
-                     parse_forest_input, parse_labeling, validate_labeling)
+from .forest import (MODES, linear_extensions, parse_forest_input, parse_labeling,
+                     validate_labeling)
 from .qpoly import BiPoly
 
 
@@ -244,9 +244,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ForestParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

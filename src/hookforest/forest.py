@@ -213,18 +213,28 @@ def enumerate_forests(n: int) -> Iterator[Forest]:
         yield parse_forest(s)
 
 
-def canonical_form(forest: Forest) -> str:
-    """Paren encoding of the forest as an unordered forest.
+def canonical_form(paren: str) -> str:
+    """Paren encoding, as an unordered forest, of the plane forest ``paren``.
 
     Each vertex encodes as "(" + its children's encodings, sorted, + ")",
     and the forest as its root encodings, sorted; two plane forests get
     the same string iff they differ only in the order of siblings.
     """
-    code = [""] * (forest.n + 1)
-    # children are numbered after their parent, so they are encoded first
-    for v in range(forest.n, 0, -1):
-        code[v] = "(" + "".join(sorted(code[c] for c in forest.children[v])) + ")"
-    return "".join(sorted(code[r] for r in forest.roots))
+    # the encodings of each open vertex's children so far; 0 holds the roots
+    stack: list[list[str]] = [[]]
+    for ch in paren:
+        if ch == "(":
+            stack.append([])
+        elif ch == ")" and len(stack) > 1:
+            kids = stack.pop()
+            kids.sort()
+            stack[-1].append("(" + "".join(kids) + ")")
+        else:
+            parse_forest(paren)  # raises the error at its offset
+    if len(stack) > 1:
+        parse_forest(paren)
+    stack[0].sort()
+    return "".join(stack[0])
 
 
 def _check_mode(mode: str) -> None:
@@ -322,7 +332,7 @@ def validate_labeling(forest: Forest, values: Sequence[int]) -> tuple[int, ...]:
     n = forest.n
     if len(values) != n:
         raise ValueError(f"labeling has {len(values)} values but the forest has {n} vertices")
-    if any(not isinstance(v, int) or v == 0 for v in values):
+    if any(isinstance(v, bool) or not isinstance(v, int) or v == 0 for v in values):
         raise ValueError("labels must be nonzero integers")
     if sorted(abs(v) for v in values) != list(range(1, n + 1)):
         raise ValueError("absolute labels must be exactly 1..n with no repeats")

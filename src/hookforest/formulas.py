@@ -67,11 +67,11 @@ def rhs_bivariate_inv(forest: Forest) -> BiPoly:
 def rhs_bivariate_majb(forest: Forest) -> BiPoly:
     """Joint (positives, maj-b) distribution: e(F) * (1+tq)^n * prod [h_u].
 
-    The t-free product is built once and spread over the binomial row
+    The t-free product rhs_bw is spread over the binomial row
     (1+tq)^n = sum C(n, j) t^j q^j; its term q^b lands at t^j q^(b+j),
     so no two terms meet."""
     row = [(j, math.comb(forest.n, j)) for j in range(forest.n + 1)]
-    base = _hook_product(forest, q_number).items()
+    base = rhs_bw(forest).items()
     return BiPoly._trusted({(j, b + j): r * c for j, r in row for (_, b), c in base})
 
 

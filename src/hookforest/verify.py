@@ -19,9 +19,9 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
-from .forest import (Forest, canonical_form, chain_forest, enumerate_forests,
+from .forest import (Forest, _balanced_strings, canonical_form, chain_forest,
                      enumerate_labelings, enumerate_words, hook_lengths,
-                     labeling_count, labeling_orbits, linear_extensions)
+                     labeling_count, labeling_orbits, linear_extensions, parse_forest)
 from .qpoly import BiPoly, Series
 
 
@@ -212,23 +212,19 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
     """
     row = _theorem(theorem_id)
     _check_degree(degree)
-    if row.scope == "size":
-        return _check_size(theorem_id, row, forest.n)
     if row.scope == "labeled":
         return _check_labeled(theorem_id, row, forest, degree)
     if callable(row.lhs):
         return row.lhs(forest)
-    sides = (distribution(forest, stat, row.mode, aux=aux) for stat, aux in row.lhs)
-    return _check_sides(theorem_id, row, forest.render(),
-                        getattr(formulas, row.rhs)(forest), sides)
-
-
-def _check_size(theorem_id: str, row: Theorem, n: int) -> CheckReport:
-    perm = stats.PERM_STATS
-    sides = _distributions(enumerate_words(n, row.mode),
-                           [(perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
-    return _check_sides(theorem_id, row, f"n={n}",
-                        getattr(formulas, row.rhs)(chain_forest(n)), sides)
+    if row.scope == "size":
+        perm = stats.PERM_STATS
+        label = f"n={forest.n}"
+        sides = _distributions(enumerate_words(forest.n, row.mode), [
+            (perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
+    else:
+        label = forest.render()
+        sides = (distribution(forest, stat, row.mode, aux=aux) for stat, aux in row.lhs)
+    return _check_sides(theorem_id, row, label, closed_form(theorem_id, forest), sides)
 
 
 def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
@@ -245,15 +241,14 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
 
 
 def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
-    """Sums of both sides over the labelings, each orbit of
-    labeling_orbits checked once and its coefficients added with its
-    weight; the two totals are built at the end.  A failing orbit sends
-    the check over every labeling in lexicographic order, so the witness
-    is the first failing labeling."""
-    sums: tuple[dict, dict] = ({}, {})
+    """The sum of both sides over the labelings: each orbit of
+    labeling_orbits is checked once, and a passing orbit's two sides are
+    equal, so one total adds its coefficients with its weight.  A failing
+    orbit sends the check over every labeling in lexicographic order, so
+    the witness is the first failing labeling."""
+    total: dict[tuple[int, int], int] = {}
     for w, weight in labeling_orbits(forest):
-        sides = row.lhs(forest, w, degree)
-        lhs, rhs = sides
+        lhs, rhs = row.lhs(forest, w, degree)
         if lhs != rhs:
             # w is one of the labelings, so the scan stops at w at the latest
             for w in enumerate_labelings(forest):
@@ -262,18 +257,11 @@ def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -
                     break
             return CheckReport(theorem_id, forest.render(), lhs, rhs, False,
                                f"labeling {w}: {_first_mismatch(lhs, rhs)}")
-        for side, total in zip(sides, sums):
-            for key, c in (side.poly if isinstance(side, Series) else side).items():
-                total[key] = total.get(key, 0) + c * weight
-    return CheckReport(theorem_id, forest.render(),
-                       *(_total_like(side, total) for side, total in zip(sides, sums)), True)
-
-
-def _total_like(side: Union[BiPoly, Series], terms: dict) -> Union[BiPoly, Series]:
-    """The polynomial of summed coefficients, a Series of side's degree
-    when side is one."""
-    poly = BiPoly._trusted({key: c for key, c in terms.items() if c})
-    return Series(poly, side.degree) if isinstance(side, Series) else poly
+        for key, c in (lhs.poly if isinstance(lhs, Series) else lhs).items():
+            total[key] = total.get(key, 0) + c * weight
+    poly = BiPoly._trusted({key: c for key, c in total.items() if c})
+    summed = Series(poly, lhs.degree) if isinstance(lhs, Series) else poly
+    return CheckReport(theorem_id, forest.render(), summed, summed, True)
 
 
 def check_even_odd(forest: Forest) -> CheckReport:
@@ -455,7 +443,7 @@ def check_psi(n: int) -> CheckReport:
         total += 1
     if len(seen) != total:
         return CheckReport("psi", label, None, None, False, "psi is not injective")
-    return replace(_check_size("eq-reiner", THEOREMS["eq-reiner"], n), theorem="psi")
+    return replace(check_theorem(chain_forest(n), "eq-reiner"), theorem="psi")
 
 
 def mirror_labeling(forest: Forest, w) -> tuple[int, ...]:
@@ -524,8 +512,8 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
 # ---------------------------------------------------------------------------
 # sweeps and counterexample search
 
-# Estimated seconds of class checks left below which _map_classes stays
-# serial: starting and feeding a pool of forked workers costs tens of
+# Estimated seconds of checks left below which _map stays serial:
+# starting and feeding a pool of forked workers costs tens of
 # milliseconds, more than the small sweeps take in total.
 POOL_THRESHOLD_S = 0.25
 
@@ -550,26 +538,18 @@ def _workers(jobs: int, items: int) -> int:
     return min(jobs, os.cpu_count() or 1, items)
 
 
-def _map_classes(fn: Callable, forests: list[Forest], jobs: int) -> list:
-    """fn of each forest, computed once per unordered class on the
-    class's first forest: no statistic or closed form depends on the
-    order of siblings.
+def _map(fn: Callable, forests: list[Forest], jobs: int) -> list:
+    """fn of each forest, in order.
 
-    The classes are checked serially until the mean time per class so
-    far, times the classes left, exceeds POOL_THRESHOLD_S; the rest then
-    go in chunks to a pool of up to ``jobs`` forked worker processes.
-    Results keep canonical order either way.
+    The forests are done serially until the mean time per forest so far,
+    times the forests left, exceeds POOL_THRESHOLD_S; the rest then go
+    in chunks to a pool of up to ``jobs`` forked worker processes.
     """
-    keys = [canonical_form(f) for f in forests]
-    first: dict[str, Forest] = {}
-    for key, forest in zip(keys, forests):
-        first.setdefault(key, forest)
-    todo = list(first.values())
-    most = _workers(jobs, len(todo))
+    most = _workers(jobs, len(forests))
     results = []
     start = time.perf_counter()
-    for done, forest in enumerate(todo):
-        left = len(todo) - done
+    for done, forest in enumerate(forests):
+        left = len(forests) - done
         workers = min(most, left)
         if (workers > 1 and done
                 and (time.perf_counter() - start) / done * left > POOL_THRESHOLD_S):
@@ -579,41 +559,49 @@ def _map_classes(fn: Callable, forests: list[Forest], jobs: int) -> list:
             pool = ProcessPoolExecutor(workers, get_context("fork"),
                                        initializer=_set_pool_fn, initargs=(fn,))
             try:
-                # about four chunks per worker even out unequal class costs
-                results += pool.map(_call_pool_fn, todo[done:],
+                # about four chunks per worker even out unequal forest costs
+                results += pool.map(_call_pool_fn, forests[done:],
                                     chunksize=max(1, left // (4 * workers)))
             finally:
                 pool.shutdown(cancel_futures=True)
             break
         results.append(fn(forest))
-    by_key = dict(zip(first, results))
-    return [by_key[key] for key in keys]
+    return results
 
 
 def _forest_reports(check: Callable[[Forest], CheckReport], n: int,
                     jobs: int) -> Iterator[CheckReport]:
     """check's report on each forest of size n, in canonical order.
 
-    check runs once per unordered class through _map_classes; a passing
-    report is relabeled for each plane forest, and a failed class is
-    checked again forest by forest, so every report is the forest's own.
+    The plane forests are keyed by their paren strings.  check runs
+    through _map once per unordered class, on the class's first forest,
+    since no statistic or closed form depends on the order of siblings;
+    only those forests are parsed.  A passing report is relabeled for
+    each plane forest, and a failed class is checked again forest by
+    forest, so every report is the forest's own.
     """
-    forests = list(enumerate_forests(n))
-    for forest, report in zip(forests, _map_classes(check, forests, jobs)):
-        label = forest.render()
-        if report.passed or report.forest == label:
-            yield replace(report, forest=label)
+    parens = list(_balanced_strings(n))
+    keys = [canonical_form(paren) for paren in parens]
+    first: dict[str, str] = {}
+    for key, paren in zip(keys, parens):
+        first.setdefault(key, paren)
+    reports = dict(zip(first, _map(check, [parse_forest(p) for p in first.values()], jobs)))
+    for key, paren in zip(keys, parens):
+        report = reports[key]
+        if report.passed or report.forest == paren:
+            yield replace(report, forest=paren)
         else:
-            yield check(forest)
+            yield check(parse_forest(paren))
 
 
 def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
           fail_fast: bool = False) -> list[CheckReport]:
     """Check one identity over every forest of size 0..max_n.
 
-    Size-level identities run once per size, and a theorem's row may set
-    a larger first size.  Forest-level ones go through _forest_reports.
-    Results come back in canonical order regardless of the worker count.
+    Size-level identities run once per size, on the chain, and a
+    theorem's row may set a larger first size.  Forest-level ones go
+    through _forest_reports.  Results come back in canonical order
+    regardless of the worker count.
     """
     row = _theorem(theorem_id)
     _check_max_n(max_n)
@@ -622,7 +610,7 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     check = lambda f: check_theorem(f, theorem_id, degree=degree)
     reports: list[CheckReport] = []
     for n in range(row.start, max_n + 1):
-        batch = ([_check_size(theorem_id, row, n)] if row.scope == "size"
+        batch = ([check(chain_forest(n))] if row.scope == "size"
                  else _forest_reports(check, n, jobs))
         for report in batch:
             reports.append(report)
@@ -635,19 +623,20 @@ def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
                           jobs: int = 1) -> Optional[tuple[Forest, BiPoly, BiPoly]]:
     """First forest (size ascending, canonical order) where the two
     statistics have different distributions; None if there is none.
-    Each unordered class is tried once: the statistics (callables too)
-    must not depend on the order of siblings."""
+    The search goes through _forest_reports, so the statistics
+    (callables too) must not depend on the order of siblings."""
     for stat in (stat_a, stat_b):
         stats.resolve_forest_stat(stat)
     _check_max_n(max_n)
     _check_jobs(jobs)
+
+    def check(forest: Forest) -> CheckReport:
+        da, db = distribution(forest, stat_a, mode), distribution(forest, stat_b, mode)
+        return CheckReport("counterexample", forest.render(), da, db, da == db)
+
     for n in range(max_n + 1):
-        forests = list(enumerate_forests(n))
-        pairs = _map_classes(
-            lambda f: (distribution(f, stat_a, mode), distribution(f, stat_b, mode)),
-            forests, jobs)
-        for forest, (da, db) in zip(forests, pairs):
-            if da != db:
+        for report in _forest_reports(check, n, jobs):
+            if not report.passed:
                 # the first forest of its class: these are its own distributions
-                return forest, da, db
+                return parse_forest(report.forest), report.lhs, report.rhs
     return None

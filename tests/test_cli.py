@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from hookforest import cli, verify
-from hookforest.forest import canonical_form, hook_lengths, parse_forest
+from hookforest.forest import canonical_form, hook_lengths
 from hookforest.qpoly import BiPoly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -175,13 +175,13 @@ def test_bijections_check_mirror_once_per_unordered_class(capsys, monkeypatch):
 
 def test_bijections_recheck_each_forest_of_a_failed_class(capsys, monkeypatch):
     # a witness that reads the planar order tells the members of a class apart
-    bad = canonical_form(parse_forest("(())()"))
+    bad = canonical_form("(())()")
     calls = []
     check = verify.check_mirror
 
     def fail_on_bad(forest):
         calls.append(forest.render())
-        if canonical_form(forest) != bad:
+        if canonical_form(forest.render()) != bad:
             return check(forest)
         return verify.CheckReport("mirror", forest.render(), None, None, False,
                                   f"hooks {hook_lengths(forest)[1:]}")

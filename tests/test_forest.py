@@ -189,7 +189,8 @@ def test_children_and_hooks_match_references():
 
 def test_canonical_form_counts_the_unordered_forests():
     # rooted unordered forests on n vertices: OEIS A000081 shifted by one
-    counts = [len({canonical_form(f) for f in enumerate_forests(n)}) for n in range(9)]
+    counts = [len({canonical_form(f.render()) for f in enumerate_forests(n)})
+              for n in range(9)]
     assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286]
 
 
@@ -199,18 +200,24 @@ def test_canonical_form_ignores_sibling_order_and_is_idempotent():
     rng = random.Random(10)
     for n in range(7):
         for f in enumerate_forests(n):
-            key = canonical_form(f)
-            assert canonical_form(parse_forest(key)) == key
+            key = canonical_form(f.render())
+            assert canonical_form(key) == key
             # renumbering the vertices reorders siblings and trees
             order = list(range(1, n + 1))
             rng.shuffle(order)
             new = {old: i for i, old in enumerate(order, start=1)}
             new[0] = 0
             parents = [new[f.parent[old]] for old in order]
-            assert canonical_form(forest_from_parents(parents)) == key
-    assert canonical_form(parse_forest("()(())")) == "(())()"
-    assert canonical_form(parse_forest("(()(()))")) == "((())())"
-    assert canonical_form(parse_forest("")) == ""
+            assert canonical_form(forest_from_parents(parents).render()) == key
+    assert canonical_form("()(())") == "(())()"
+    assert canonical_form("(()(()))") == "((())())"
+    assert canonical_form("") == ""
+    for bad, message in (("(()", "unclosed '(' (offset 3)"),
+                         ("())(", "unmatched ')' (offset 2)"),
+                         ("(x)", "unexpected character 'x' (offset 1)")):
+        with pytest.raises(ForestParseError) as err:
+            canonical_form(bad)
+        assert err.value.args[0] == message
 
 
 def test_comparable_pairs_matches_ancestor_predicate():
@@ -291,7 +298,7 @@ def test_labeling_orbits_count():
     # of 0 among the labels: (n + 1)^(n - 1) * (n + 1), summed over classes
     counts = []
     for n in range(1, 6):
-        classes = {canonical_form(f): f for f in enumerate_forests(n)}
+        classes = {canonical_form(f.render()): f for f in enumerate_forests(n)}
         counts.append(sum(len(list(labeling_orbits(f))) for f in classes.values()))
     assert counts == [2, 9, 64, 625, 7776]
     # the chain has no automorphism: one orbit per pattern
@@ -356,6 +363,9 @@ def test_validate_labeling():
         validate_labeling(chain, [1])
     with pytest.raises(ValueError):
         validate_labeling(chain, [0, 1])
+    # bools are ints in Python, but not labels
+    with pytest.raises(ValueError, match="labels must be nonzero integers"):
+        validate_labeling(chain, (True, -2))
 
 
 def test_parse_labeling():

@@ -267,7 +267,7 @@ def test_partition_checks_exhaustive_n4():
 def test_partition_checks_on_labeling_orbits_n5():
     # dec1 and the shift read labels through comparisons only and ignore
     # sibling order, so one labeling per orbit of one forest per class
-    classes = {canonical_form(f): f for f in enumerate_forests(5)}
+    classes = {canonical_form(f.render()): f for f in enumerate_forests(5)}
     for forest in classes.values():
         for w, _ in labeling_orbits(forest):
             for check in (verify.check_decomposition_dec1, verify.check_partition_shift):

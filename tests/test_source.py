@@ -37,23 +37,35 @@ def _named(nodes, strings):
                 yield node.value
 
 
-def test_every_public_function_has_a_caller():
-    # the library keeps only what it, the benchmark or its public API
-    # uses; helpers that only tests call belong in the tests
+def _uncalled(private, outside=()):
+    """Top-level functions of src/, private or public ones, that src/
+    names nowhere outside their own bodies, leaving out the names in
+    ``outside``."""
     modules = [ast.parse(path.read_text(), filename=str(path)).body
                for path in sorted(SRC.glob("*.py"))]
     # a string counts in src/, since THEOREMS names its closed forms
     in_src = Counter(_named([node for body in modules for node in body], True))
-    # in bench/ only code counts: the tracer's name lists are strings
+    return [node.name for body in modules for node in body
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") == private and node.name not in outside
+            # the definition's own body does not count
+            and in_src[node.name] == Counter(_named([node], True))[node.name]]
+
+
+def test_every_public_function_has_a_caller():
+    # the library keeps only what it, the benchmark or its public API
+    # uses; helpers that only tests call belong in the tests
     outside = set(hookforest.__all__)
+    # in bench/ only code counts: the tracer's name lists are strings
     for path in sorted(BENCH.glob("*.py")):
         outside.update(_named([ast.parse(path.read_text(), filename=str(path))], False))
-    unused = [node.name for body in modules for node in body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-              and node.name not in outside
-              # the definition's own body does not count
-              and in_src[node.name] == Counter(_named([node], True))[node.name]]
-    assert unused == []
+    assert _uncalled(False, outside) == []
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a private helper serves the library alone: one that only tests or
+    # the benchmark reach is dead code or belongs in the public API
+    assert _uncalled(True) == []
 
 
 def test_no_environment_knobs():

@@ -269,7 +269,7 @@ def test_workers_are_capped_by_jobs_cpus_and_items(monkeypatch):
     assert verify._workers(64, 100) == 8 and verify._workers(5, 100) == 5
 
 
-def test_map_classes_reads_the_cpu_count_once_per_call(monkeypatch):
+def test_map_reads_the_cpu_count_once_per_call(monkeypatch):
     calls = []
     monkeypatch.setattr(verify.os, "cpu_count", lambda: calls.append(1) or 1)
     assert len(verify.sweep("thm-inv-b", 5, jobs=2)) == 65
@@ -357,11 +357,11 @@ def test_sweep_reports_each_plane_forest_as_its_own(monkeypatch, pool_starts):
     # failing forests that are not the first of their class are re-checked
     first = {}
     for f in forests:
-        first.setdefault(canonical_form(f), f.render())
+        first.setdefault(canonical_form(f.render()), f.render())
     failing = {rec["forest"] for rec in own if not rec["pass"]}
     for paren in ("((()(())))", "(()(()()))"):
         assert paren in failing
-        assert first[canonical_form(parse_forest(paren))] != paren
+        assert first[canonical_form(paren)] != paren
 
 
 def test_sweep_rechecks_each_forest_of_a_failed_class(monkeypatch, pool_starts):
@@ -381,19 +381,47 @@ def test_sweep_rechecks_each_forest_of_a_failed_class(monkeypatch, pool_starts):
     assert pool_starts
 
 
-def test_sweep_checks_each_unordered_forest_once(monkeypatch):
+def counting(monkeypatch, name):
+    """Wrap verify.<name> to record its calls' arguments; returns the list."""
     calls = []
-    check = verify.check_theorem
+    real = getattr(verify, name)
 
-    def counted(forest, *args, **kwargs):
-        calls.append(forest)
-        return check(forest, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "check_theorem", counted)
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_sweep_checks_each_unordered_forest_once(monkeypatch):
+    calls = counting(monkeypatch, "check_theorem")
     reports = verify.sweep("thm-inv-b", 5)
     assert len(reports) == 65 and all(r.passed for r in reports)
     assert len(calls) == 37
-    assert len({canonical_form(f) for f in calls}) == 37
+    assert len({canonical_form(args[0].render()) for args in calls}) == 37
+
+
+def test_size_rows_go_through_check_theorem(monkeypatch):
+    calls = counting(monkeypatch, "check_theorem")
+    reports = verify.sweep("len-b", 4)
+    assert [r.forest for r in reports] == [f"n={n}" for n in range(5)]
+    assert [args[0] for args in calls] == [chain_forest(n) for n in range(5)]
+
+
+def test_counterexample_search_checks_each_class_once(monkeypatch):
+    calls = counting(monkeypatch, "distribution")
+    assert verify.counterexample_search("inv-b-f", "fmaj-f", "signed", 5) is None
+    # two distributions for each of the 1 + 1 + 2 + 4 + 9 + 20 classes
+    assert len(calls) == 74
+
+
+def test_sweep_parses_only_class_representatives(monkeypatch):
+    calls = counting(monkeypatch, "parse_forest")
+    reports = verify.sweep("thm-inv-b", 5)
+    assert len(reports) == 65 and all(r.passed for r in reports)
+    assert len(calls) == 37
+    assert len({canonical_form(paren) for (paren,) in calls}) == 37
 
 
 def test_counterexample_equidistributed_pairs_return_none():
@@ -586,7 +614,7 @@ def _reordered(sizes):
     canonical form, paired with that form."""
     for n in sizes:
         for forest in enumerate_forests(n):
-            canonical = parse_forest(canonical_form(forest))
+            canonical = parse_forest(canonical_form(forest.render()))
             if canonical != forest:
                 yield forest, canonical
 
