@@ -4,14 +4,16 @@ and counterexample search.
 Every check compares an exhaustively computed left-hand side against
 an independently built closed form and reports the outcome as a
 ``CheckReport``.  Forest-statistic distributions come from the
-ancestor-chain dynamic program in ``chaindp``; the other left-hand
-sides enumerate labelings, words or partitions.  Nothing here samples:
-the identities are exact, so the comparisons are coefficientwise
-polynomial equality.
+ancestor-chain dynamic program in ``chaindp``, and the partition series
+of ``lem-partition-gf`` from a P-partition dynamic program; the other
+left-hand sides enumerate labelings, words or partitions.  Nothing
+here samples: the identities are exact, so the comparisons are
+coefficientwise polynomial equality.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -22,7 +24,7 @@ from . import chaindp, formulas, stats
 from .forest import (Forest, _balanced_strings, canonical_form, chain_forest,
                      enumerate_labelings, enumerate_words, hook_lengths,
                      labeling_count, labeling_orbits, linear_extensions, parse_forest)
-from .qpoly import BiPoly, Series
+from .qpoly import BiPoly, Series, _decode
 
 
 @dataclass
@@ -146,7 +148,7 @@ def _linext_pair(forest: Forest, w, degree: int) -> tuple[BiPoly, BiPoly]:
 
 
 def _partition_pair(forest: Forest, w, degree: int) -> tuple[Series, Series]:
-    return (partition_lhs_series(forest, w, degree),
+    return (_partition_series(forest, w, degree),
             formulas.rhs_partition_gf(forest, w, degree))
 
 
@@ -336,6 +338,51 @@ def partition_lhs_series(forest: Forest, w, degree: int) -> Series:
     """Weight generating series of the type-B partitions, truncated."""
     (counts,) = _distributions(enumerate_partitions(forest, w, degree), [(sum, None)])
     return Series(counts, degree)
+
+
+def _partition_series(forest: Forest, w, degree: int) -> Series:
+    """partition_lhs_series by value (Stanley's P-partition recursion):
+    the maps are counted, never listed.
+
+    S_v[x] is the truncated weight series of the maps on v's subtree
+    that satisfy its edge conditions and have f(v) >= x.  Those with
+    f(v) = x are q^x times, per child c, S_c[x + 1] across a strict
+    edge (w_v < w_c) and S_c[x] otherwise, and none exist once x * h(v)
+    exceeds the degree, since every value below v is at least x.  So
+    S_v[x] is that term plus S_v[x + 1], built for x from the degree
+    down to 0, children before parents; only S[x + 1] and S[x] are
+    live.  The roots take S_r[1] when positively labeled and S_r[0]
+    otherwise, and the series is the product of theirs.  It counts by
+    value alone and never shifts the maps by their descents: that shift
+    proves the lemma, so the check would compare the closed form with
+    itself.
+
+    A series is one int, the coefficient of q^j in the k-bit slot j,
+    cut after slot ``degree`` at every product.  Each slot of a product
+    of two cut series counts maps of at most n values with weight at
+    most 2 * degree, fewer than 2^k, so no slot spills into the next.
+    """
+    if degree < 0:
+        raise ValueError("weight bound must be nonnegative")
+    n, kids = forest.n, forest.children
+    h = hook_lengths(forest)
+    k = math.comb(2 * degree + n, n).bit_length()
+    keep = (1 << k * (degree + 1)) - 1
+    steps = [(v, degree // h[v], [(c, w[v - 1] < w[c - 1]) for c in kids[v]])
+             for v in range(n, 0, -1)]
+    lower = [0] * (n + 1)
+    for x in range(degree, -1, -1):
+        upper, lower = lower, lower[:]
+        for v, top, edges in steps:
+            if x <= top:
+                term = 1 << k * x
+                for c, strict in edges:
+                    term = term * (upper[c] if strict else lower[c]) & keep
+                lower[v] += term
+    value = 1
+    for r in kids[0]:
+        value = value * (upper[r] if w[r - 1] > 0 else lower[r]) & keep
+    return Series(_decode(value, k, degree + 1), degree)
 
 
 def _shift_by(forest: Forest, w) -> Callable[[Sequence[int]], tuple[int, ...]]:

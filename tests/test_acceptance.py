@@ -124,7 +124,7 @@ def test_criterion_07_extension_generating_function():
 
 def test_criterion_08_partition_machinery():
     with _Timer() as t:
-        ok = all(r.passed for r in verify.sweep("lem-partition-gf", 4, degree=10))
+        ok = all(r.passed for r in verify.sweep("lem-partition-gf", 5, degree=10))
         for n in range(4):
             for forest in enumerate_forests(n):
                 for w in enumerate_labelings(forest, "signed"):
@@ -139,7 +139,7 @@ def test_criterion_08_partition_machinery():
                              == _plain_forest_partitions(forest, 10))
                 ok = ok and (verify.partition_lhs_series(forest, w_neg, 10)
                              == formulas.rhs_partition_gf(forest, w_neg, 10))
-    _report("8 (partition series n<=4; dec1 split, shift bijection, "
+    _report("8 (partition series n<=5; dec1 split, shift bijection, "
             "all-negative specialization, n<=3)", ok, t.elapsed)
 
 

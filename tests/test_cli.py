@@ -148,6 +148,16 @@ def test_partitions(capsys):
     assert "PASS dec1" in out
 
 
+def test_partition_check_at_a_large_degree(capsys):
+    # the DP keeps two series per vertex, not one per value, so a large
+    # degree costs time alone
+    code, out, _ = run(capsys, "check", "--forest", "()", "--theorem", "lem-partition-gf",
+                       "--degree", "20000")
+    assert code == 0
+    assert out.startswith("PASS lem-partition-gf forest='()'\n")
+    assert out.rstrip().endswith("2*q^20000 + O(q^20001)")
+
+
 def test_partitions_negative_degree(capsys):
     code, out, err = run(capsys, "partitions", "--forest", "(())", "--labeling=-1,2",
                          "--degree", "-2")

@@ -123,6 +123,30 @@ def test_partition_series_examples():
     assert s == Series(BiPoly.zero(), 1)
 
 
+@pytest.mark.parametrize("n, degrees", [(n, (0, 1, 6, 10)) for n in range(5)]
+                         + [pytest.param(5, (6, 10), marks=pytest.mark.slow)])
+def test_partition_dp_matches_the_enumeration(n, degrees):
+    # the check's series, counted by value, against the listed maps on
+    # every orbit the lem-partition-gf check evaluates
+    classes = {canonical_form(f.render()): f for f in enumerate_forests(n)}
+    for forest in classes.values():
+        for w, _ in labeling_orbits(forest):
+            for degree in degrees:
+                assert (verify._partition_series(forest, w, degree)
+                        == verify.partition_lhs_series(forest, w, degree)), (forest, w, degree)
+
+
+def test_partition_dp_edges(monkeypatch):
+    def unreachable(forest, w, max_total):
+        raise AssertionError("the DP lists no maps")
+
+    monkeypatch.setattr(verify, "enumerate_partitions", unreachable)
+    with pytest.raises(ValueError, match="^weight bound must be nonnegative$"):
+        verify._partition_series(DOT, (1,), -1)
+    for degree in (0, 5):
+        assert verify._partition_series(parse_forest(""), (), degree) == Series(BiPoly.one(), degree)
+
+
 def test_partition_series_closed_form_small():
     for n in range(3):
         for forest in enumerate_forests(n):
