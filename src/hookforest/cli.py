@@ -129,10 +129,7 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_bijections(args) -> int:
-    verify._check_max_n(args.max_n)
-    reports = [verify.check_psi(n) for n in range(args.max_n + 1)]
-    for n in range(args.max_n + 1):
-        reports += verify._forest_reports(verify.check_mirror, n, 1)
+    reports = verify.sweep("psi", args.max_n) + verify.sweep("mirror", args.max_n)
     return 1 if _print_reports(reports, args.format) else 0
 
 

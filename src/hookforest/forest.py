@@ -45,10 +45,15 @@ class Forest:
 
     def __post_init__(self):
         n, parent = self.n, self.parent
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(parent) != n + 1:
             raise ValueError("parent array must have length n + 1")
+        for v, p in enumerate(parent):
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError(f"parent entry {p!r} in slot {v} is not an integer")
         if parent[0] != 0:
             raise ValueError(f"slot 0 of the parent array is unused and must be 0, "
                              f"got {parent[0]!r}")

@@ -249,8 +249,7 @@ class Series:
     """Power series in q truncated at a fixed degree.
 
     Wraps a t-free BiPoly whose coefficients are exact for q-exponents
-    up to ``degree``; higher terms are dropped on construction and by
-    every arithmetic operation.
+    up to ``degree``; higher terms are dropped on construction.
     """
 
     __slots__ = ("poly", "degree")
@@ -264,27 +263,6 @@ class Series:
                                      if key[1] <= degree})
         self.degree = degree
 
-    def _coerce(self, other) -> "Series":
-        if isinstance(other, Series):
-            return other
-        if isinstance(other, int):
-            other = BiPoly({(0, 0): other})
-        if isinstance(other, BiPoly):
-            return Series(other, self.degree)
-        raise TypeError(f"cannot combine Series with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Series(self.poly + other.poly, min(self.degree, other.degree))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Series(self.poly * other.poly, min(self.degree, other.degree))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -292,11 +270,6 @@ class Series:
 
     def __hash__(self) -> int:
         return hash((self.poly, self.degree))
-
-    def coeff(self, k: int) -> int:
-        if k > self.degree:
-            raise ValueError(f"coefficient of q^{k} is beyond the truncation degree")
-        return self.poly.coeff(0, k)
 
     def render(self) -> str:
         return f"{self.poly.render()} + O(q^{self.degree + 1})"

@@ -170,6 +170,8 @@ THEOREMS = {
     "len-d": Theorem("size", "rhs_inv_d", (("len-d", None),), mode="even-signed"),
     "eq-even-odd": Theorem("forest", None, lambda forest: check_even_odd(forest), start=1),
     "eq-coset-fmaj": Theorem("forest", None, lambda forest: check_fmaj_coset_identity(forest)),
+    "psi": Theorem("size", None, lambda forest: check_psi(forest.n)),
+    "mirror": Theorem("forest", None, lambda forest: check_mirror(forest)),
 }
 
 
@@ -480,15 +482,13 @@ def check_psi(n: int) -> CheckReport:
     distributions match the closed form (1+tq)^n [n]!."""
     label = f"n={n}"
     seen = set()
-    total = 0
     for sigma in enumerate_words(n, "signed"):
         tau = psi_bijection(sigma)
         if stats.maj_b(sigma) != stats.maj_r(tau) or stats.p(sigma) != stats.n1(tau):
             return CheckReport("psi", label, None, None, False,
                                f"sigma={sigma}: statistics not carried over")
         seen.add(tau)
-        total += 1
-    if len(seen) != total:
+    if len(seen) != labeling_count(n, "signed"):
         return CheckReport("psi", label, None, None, False, "psi is not injective")
     return replace(check_theorem(chain_forest(n), "eq-reiner"), theorem="psi")
 
@@ -504,23 +504,23 @@ def check_mirror(forest: Forest) -> CheckReport:
     accompanying maj-b and positivity identities."""
     label = forest.render()
     rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
+
+    def fail(what):
+        return CheckReport("mirror", label, None, None, False, what)
+
     for w in enumerate_labelings(forest, "signed"):
         w2 = mirror_labeling(forest, w)
         if mirror_labeling(forest, w2) != w:
-            return CheckReport("mirror", label, None, None, False,
-                               f"labeling {w}: mirror is not an involution")
+            return fail(f"labeling {w}: mirror is not an involution")
         r = rmaj(forest, w)
         fm = fmaj(forest, w2)
         if r != fm:
-            return CheckReport("mirror", label, None, None, False,
-                               f"labeling {w}: rmaj {r} != fmaj {fm} of the mirror")
+            return fail(f"labeling {w}: rmaj {r} != fmaj {fm} of the mirror")
         if stats.maj_b_forest(forest, w) != (stats.maj_forest(forest, w2)
                                              + stats.p_forest(forest, w)):
-            return CheckReport("mirror", label, None, None, False,
-                               f"labeling {w}: maj-b does not split as maj' + p")
+            return fail(f"labeling {w}: maj-b does not split as maj' + p")
         if stats.p_forest(forest, w) != stats.n1_forest(forest, w2):
-            return CheckReport("mirror", label, None, None, False,
-                               f"labeling {w}: positives do not mirror to negatives")
+            return fail(f"labeling {w}: positives do not mirror to negatives")
     return CheckReport("mirror", label, distribution(forest, "rmaj"),
                        distribution(forest, "fmaj"), True)
 
@@ -534,25 +534,25 @@ def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
     fmaj = stats.FOREST_STATS["fmaj-f"]
     seen = set()
     reps = list(stats.increasing_signed_words(n))
+
+    def fail(what):
+        return CheckReport("eq-coset-fmaj", label, None, None, False, what)
+
     for w in enumerate_labelings(forest, "ordinary"):
         des = stats.descents_forest(forest, w)
         twice_maj = 2 * stats.maj_forest(forest, w)
         for tau in reps:
             tw = tuple(tau[v - 1] for v in w)
             if stats.descents_forest(forest, tw) != des:
-                return CheckReport("eq-coset-fmaj", label, None, None, False,
-                                   f"w={w}, tau={tau}: descent set changed")
+                return fail(f"w={w}, tau={tau}: descent set changed")
             negatives = sum(1 for v in tau if v < 0)
             if stats.n1_forest(forest, tw) != negatives:
-                return CheckReport("eq-coset-fmaj", label, None, None, False,
-                                   f"w={w}, tau={tau}: negative count changed")
+                return fail(f"w={w}, tau={tau}: negative count changed")
             if fmaj(forest, tw) != twice_maj + negatives:
-                return CheckReport("eq-coset-fmaj", label, None, None, False,
-                                   f"w={w}, tau={tau}: fmaj does not split")
+                return fail(f"w={w}, tau={tau}: fmaj does not split")
             seen.add(tw)
     if len(seen) != labeling_count(n, "signed"):
-        return CheckReport("eq-coset-fmaj", label, None, None, False,
-                           "relabelings do not cover the signed labelings")
+        return fail("relabelings do not cover the signed labelings")
     return CheckReport("eq-coset-fmaj", label, None, None, True)
 
 
@@ -641,6 +641,19 @@ def _forest_reports(check: Callable[[Forest], CheckReport], n: int,
             yield check(parse_forest(paren))
 
 
+def _reports(check: Callable[[Forest], CheckReport], scope: str, start: int,
+             max_n: int, jobs: int, fail_fast: bool = False) -> Iterator[CheckReport]:
+    """check's reports for sizes start..max_n, on the chain of each size
+    for the size scope and on each forest through _forest_reports
+    otherwise; with fail_fast the first failing report is the last."""
+    for n in range(start, max_n + 1):
+        for report in ([check(chain_forest(n))] if scope == "size"
+                       else _forest_reports(check, n, jobs)):
+            yield report
+            if fail_fast and not report.passed:
+                return
+
+
 def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
           fail_fast: bool = False) -> list[CheckReport]:
     """Check one identity over every forest of size 0..max_n.
@@ -655,15 +668,7 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     _check_degree(degree)
     _check_jobs(jobs)
     check = lambda f: check_theorem(f, theorem_id, degree=degree)
-    reports: list[CheckReport] = []
-    for n in range(row.start, max_n + 1):
-        batch = ([check(chain_forest(n))] if row.scope == "size"
-                 else _forest_reports(check, n, jobs))
-        for report in batch:
-            reports.append(report)
-            if fail_fast and not report.passed:
-                return reports
-    return reports
+    return list(_reports(check, row.scope, row.start, max_n, jobs, fail_fast))
 
 
 def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
@@ -681,9 +686,8 @@ def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
         da, db = distribution(forest, stat_a, mode), distribution(forest, stat_b, mode)
         return CheckReport("counterexample", forest.render(), da, db, da == db)
 
-    for n in range(max_n + 1):
-        for report in _forest_reports(check, n, jobs):
-            if not report.passed:
-                # the first forest of its class: these are its own distributions
-                return parse_forest(report.forest), report.lhs, report.rhs
+    for report in _reports(check, "forest", 0, max_n, jobs):
+        if not report.passed:
+            # the first forest of its class: these are its own distributions
+            return parse_forest(report.forest), report.lhs, report.rhs
     return None

@@ -206,6 +206,32 @@ def test_bijections_recheck_each_forest_of_a_failed_class(capsys, monkeypatch):
     assert len(calls) == 9 and calls[-1] == "()(())"
 
 
+@pytest.mark.parametrize("max_n", range(5))
+def test_bijections_are_the_psi_and_mirror_sweeps(capsys, max_n):
+    records = ["--max-n", str(max_n), "--format", "records"]
+    code, out, _ = run(capsys, "bijections", *records)
+    _, psi, _ = run(capsys, "sweep", "--theorem", "psi", *records)
+    _, mirror, _ = run(capsys, "sweep", "--theorem", "mirror", *records)
+    assert code == 0 and out == psi + mirror
+    assert run(capsys, "sweep", "--theorem", "mirror", "--jobs", "2", *records)[1] == mirror
+
+
+def test_bijections_run_one_sweep_per_row(capsys, monkeypatch):
+    calls = []
+    sweep = verify.sweep
+    monkeypatch.setattr(verify, "sweep",
+                        lambda theorem, max_n: calls.append(theorem) or sweep(theorem, max_n))
+    assert run(capsys, "bijections", "--max-n", "3")[0] == 0
+    assert calls == ["psi", "mirror"]
+
+
+def test_bijection_rows_in_rhs_and_check(capsys):
+    assert run(capsys, "rhs", "--forest", "()", "--theorem", "psi") == (
+        2, "", "error: 'psi' has no closed form\n")
+    code, out, _ = run(capsys, "check", "--forest", "(()())", "--theorem", "mirror")
+    assert code == 0 and out.startswith("PASS mirror forest='(()())'")
+
+
 def test_counterexample_none(capsys):
     code, out, _ = run(capsys, "counterexample", "--stat", "inv-b", "--vs", "fmaj",
                        "--mode", "signed", "--max-n", "3")
@@ -296,7 +322,7 @@ def test_errors_print_their_message_alone(capsys):
         2, "", "error: unknown theorem id 'nope'; known ids: thm-bw, thm-inv-b, "
                "thm-inv-d, thm-fmaj, thm-rmaj, thm-bivariate-inv, thm-bivariate-majB, "
                "thm-le1, lem-partition-gf, eq-reiner, len-b, len-d, eq-even-odd, "
-               "eq-coset-fmaj\n")
+               "eq-coset-fmaj, psi, mirror\n")
 
 
 def test_ids_are_checked_before_sizes(capsys):

@@ -127,6 +127,12 @@ def test_direct_construction_validates():
     # an unused slot 0 other than 0 would render as (()) but differ from it
     with pytest.raises(ValueError, match="slot 0"):
         Forest(n=2, parent=(5, 0, 1))
+    # entries that equal ints but are not: a float parent would pass the
+    # preorder walk and break every later lookup by index
+    for n, parent in [(2, (0, 0, 1.0)), (3, (0, 0, True, 1)), (True, (0, 0)),
+                      (1, (False, 0)), (2.0, (0, 0, 1))]:
+        with pytest.raises(ValueError, match="is not an integer"):
+            Forest(n, parent)
 
 
 def test_constructor_accepts_exactly_the_preorder_parent_arrays():

@@ -180,9 +180,9 @@ def test_registry_contents():
         "thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
         "thm-bivariate-inv", "thm-bivariate-majB", "thm-le1",
         "lem-partition-gf", "eq-reiner", "len-b", "len-d",
-        "eq-even-odd", "eq-coset-fmaj"]
+        "eq-even-odd", "eq-coset-fmaj", "psi", "mirror"]
     scope = {t: row.scope for t, row in verify.THEOREMS.items()}
-    assert {t for t, s in scope.items() if s == "size"} == {"eq-reiner", "len-b", "len-d"}
+    assert {t for t, s in scope.items() if s == "size"} == {"eq-reiner", "len-b", "len-d", "psi"}
     assert {t for t, s in scope.items() if s == "labeled"} == {"thm-le1", "lem-partition-gf"}
     labeling_free = {t: row.rhs for t, row in verify.THEOREMS.items() if row.rhs}
     assert set(labeling_free) == {

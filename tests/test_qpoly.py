@@ -69,7 +69,7 @@ def test_int_mixing():
     assert q_number(2) * 2 == BiPoly({(0, 0): 2, (0, 1): 2})
     assert (q_number(2) * 0).is_zero()
     assert -3 * q_number(2) == BiPoly({(0, 0): -3, (0, 1): -3})
-    assert Series(q_number(3), 1) * 2 == Series(BiPoly({(0, 0): 2, (0, 1): 2}), 1)
+    assert Series(Series(q_number(3), 1).poly * 2, 1) == Series(BiPoly({(0, 0): 2, (0, 1): 2}), 1)
     assert 1 + BiPoly.term(1, q=1) == q_number(2)
     assert q_number(2) + -1 == BiPoly.term(1, q=1)
 
@@ -140,18 +140,6 @@ def test_ring_axioms(a, b, c):
     assert pa * (pb + pc) == pa * pb + pa * pc
 
 
-@given(coeff_maps, coeff_maps, st.integers(0, 8))
-def test_series_matches_poly_arithmetic(a, b, degree):
-    pa = BiPoly({(0, k): v for (_, k), v in a.items()})
-    pb = BiPoly({(0, k): v for (_, k), v in b.items()})
-    sa, sb = Series(pa, degree), Series(pb, degree)
-    prod = pa * pb
-    s_prod = sa * sb
-    for k in range(degree + 1):
-        assert s_prod.coeff(k) == prod.coeff(0, k)
-        assert (sa + sb).coeff(k) == (pa + pb).coeff(0, k)
-
-
 @pytest.mark.parametrize("h,degree,expected", [
     (1, 2, {0: 1, 1: 1, 2: 1}),
     (2, 5, {0: 1, 2: 1, 4: 1}),
@@ -160,25 +148,33 @@ def test_series_matches_poly_arithmetic(a, b, degree):
 def test_geometric_series(h, degree, expected):
     s = geometric_series(h, degree)
     for k in range(degree + 1):
-        assert s.coeff(k) == expected.get(k, 0)
+        assert s.poly.coeff(0, k) == expected.get(k, 0)
 
 
 def test_geometric_series_is_inverse():
     for h in (1, 2, 3):
         s = geometric_series(h, 9)
         one_minus = BiPoly({(0, 0): 1, (0, h): -1})
-        assert s * one_minus == Series(BiPoly.one(), 9)
+        assert Series(s.poly * one_minus, 9) == Series(BiPoly.one(), 9)
 
 
 def test_series_equality_and_render():
     s = Series(q_number(3), 4)
     assert s == Series(q_number(3), 4)
     assert s != Series(q_number(3), 5)
+    assert Series(q_number(3), 1) == Series(q_number(2), 1)
     assert s.render() == "1 + q + q^2 + O(q^5)"
     with pytest.raises(ValueError):
         Series(BiPoly.term(1, t=1), 3)
     with pytest.raises(ValueError):
-        s.coeff(5)
+        Series(q_number(3), -1)
+
+
+def test_series_is_a_record():
+    # products of series are taken by qpoly._product or on .poly, so
+    # Series keeps no arithmetic of its own
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "_coerce", "coeff"):
+        assert not hasattr(Series, name), name
 
 
 @pytest.mark.parametrize("terms, k, width", [

@@ -43,7 +43,10 @@ ARGVS = (
        ["counterexample", "--stat", "dmaj-f", "--vs", "inv-d-f", "--mode", "even-signed",
         "--max-n", "5", "--format", "records"],
        ["counterexample", "--stat", "inv-b-f", "--vs", "fmaj-f", "--max-n", "4",
-        "--format", "records"]]
+        "--format", "records"],
+       ["sweep", "--max-n", "3", "--theorem", "psi", "--format", "records"],
+       ["sweep", "--max-n", "3", "--theorem", "mirror", "--format", "records"],
+       ["check", "--forest", "(()())", "--theorem", "mirror", "--format", "records"]]
 )
 
 

@@ -76,3 +76,16 @@ def test_no_environment_knobs():
              for name in _named([ast.parse(path.read_text(), filename=str(path))], False)
              if name in ("environ", "getenv", "putenv")]
     assert found == []
+
+
+def test_cli_reaches_verify_through_public_names():
+    # every check the CLI runs goes through verify's public functions;
+    # the partitions command alone still reads two private helpers
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "verify" and node.attr.startswith("_")}
+    private.update(alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "verify"
+                   for alias in node.names if alias.name.startswith("_"))
+    assert private <= {"_check_degree", "_partition_pair"}

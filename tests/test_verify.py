@@ -13,7 +13,7 @@ from hookforest.forest import (MODES, canonical_form, chain_forest,
                                enumerate_forests, enumerate_labelings,
                                enumerate_words, forest_from_parents,
                                hook_lengths, labeling_orbits, parse_forest)
-from hookforest.qpoly import BiPoly, q_number
+from hookforest.qpoly import BiPoly, Series, q_number
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -138,13 +138,13 @@ def test_labeled_witness_names_the_first_failing_labeling(monkeypatch):
     assert report.rhs == report.lhs + extra
 
     extra = BiPoly.term(1, q=2)
-    monkeypatch.setattr(formulas, "rhs_partition_gf",
-                        lambda f, w, d: series(f, w, d) + (extra if w[0] > 0 else 0))
+    monkeypatch.setattr(formulas, "rhs_partition_gf", lambda f, w, d: Series(
+        series(f, w, d).poly + (extra if w[0] > 0 else 0), d))
     report = verify.check_theorem(chain2, "lem-partition-gf", degree=4)
     assert not report.passed
     assert report.witness == "labeling (1, -2): coefficient of t^0*q^2: lhs 1, rhs 2"
     assert report.lhs == verify.partition_lhs_series(chain2, (1, -2), 4)
-    assert report.rhs == report.lhs + extra
+    assert report.rhs == Series(report.lhs.poly + extra, 4)
 
 
 @pytest.mark.parametrize("theorem, degree, sizes", [
@@ -181,12 +181,18 @@ def test_labeled_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     assert report.rhs == report.lhs + extra
 
     extra = BiPoly.term(1, q=2)
-    monkeypatch.setattr(formulas, "rhs_partition_gf",
-                        lambda f, w, d: series(f, w, d) + (extra if w[0] > 0 else 0))
+    monkeypatch.setattr(formulas, "rhs_partition_gf", lambda f, w, d: Series(
+        series(f, w, d).poly + (extra if w[0] > 0 else 0), d))
     report = verify.check_theorem(forest, "lem-partition-gf", degree=4)
     assert report.witness == "labeling (1, -2): coefficient of t^0*q^2: lhs 2, rhs 3"
     assert report.lhs == verify.partition_lhs_series(forest, (1, -2), 4)
-    assert report.rhs == report.lhs + extra
+    assert report.rhs == Series(report.lhs.poly + extra, 4)
+
+
+def summed(sides, degree):
+    """The sum of the polynomials or series, the series added on .poly."""
+    total = sum((getattr(side, "poly", side) for side in sides), BiPoly.zero())
+    return Series(total, degree) if isinstance(sides[0], Series) else total
 
 
 @pytest.mark.parametrize("theorem, degree", [
@@ -198,7 +204,7 @@ def test_labeled_totals_are_the_sums_over_every_labeling(theorem, degree):
             report = verify.check_theorem(forest, theorem, degree=degree)
             assert report.passed, report.summary()
             lhs, rhs = zip(*(pair(forest, w, degree) for w in enumerate_labelings(forest)))
-            assert (report.lhs, report.rhs) == (sum(lhs[1:], lhs[0]), sum(rhs[1:], rhs[0]))
+            assert (report.lhs, report.rhs) == (summed(lhs, degree), summed(rhs, degree))
 
 
 @pytest.mark.slow
