@@ -136,28 +136,24 @@ def cmd_bijections(args) -> int:
 def cmd_counterexample(args) -> int:
     result = verify.counterexample_search(args.stat, args.vs, args.mode,
                                           args.max_n, jobs=args.jobs)
+    if result is None:
+        print(json.dumps({"witness": None}) if args.format == "records" else
+              f"none: {args.stat} and {args.vs} agree on every forest up to size {args.max_n}")
+        return 0
+    forest, da, db = result
     if args.format == "records":
-        if result is None:
-            print(json.dumps({"witness": None}))
-        else:
-            forest, da, db = result
-            print(json.dumps({
-                "witness": forest.render(),
-                "stat": args.stat,
-                "vs": args.vs,
-                "mode": args.mode,
-                "dist_stat": da.to_triples(),
-                "dist_vs": db.to_triples(),
-            }))
+        print(json.dumps({
+            "witness": forest.render(),
+            "stat": args.stat,
+            "vs": args.vs,
+            "mode": args.mode,
+            "dist_stat": da.to_triples(),
+            "dist_vs": db.to_triples(),
+        }))
     else:
-        if result is None:
-            print(f"none: {args.stat} and {args.vs} agree on every forest "
-                  f"up to size {args.max_n}")
-        else:
-            forest, da, db = result
-            print(f"witness: {forest.render()}")
-            print(f"{args.stat}: {da.render()}")
-            print(f"{args.vs}: {db.render()}")
+        print(f"witness: {forest.render()}")
+        print(f"{args.stat}: {da.render()}")
+        print(f"{args.vs}: {db.render()}")
     return 0
 
 

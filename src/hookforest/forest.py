@@ -305,6 +305,9 @@ def labeling_orbits(forest: Forest) -> Iterator[tuple[tuple[int, ...], int]]:
     vector in lexicographic order, ranks 1..k as -n..-(n-k+1) and the
     others as 1..n-k, so it is the orbit's lexicographically first
     labeling; weight is the orbit's size.
+    What compares labels only with each other and with 0, not reading
+    sibling order, is constant on an orbit.  n2 is not: a + b < 0 compares
+    absolute values across signs, so orbits miscount n2, inv-b and nmaj.
     """
     n, kids = forest.n, forest.children
     # an automorphism keeps k, so the orbits of rank vectors serve every k

@@ -68,7 +68,9 @@ class CheckReport:
         return line
 
 
-def _first_mismatch(lhs, rhs) -> str:
+def _first_mismatch(lhs, rhs) -> Optional[str]:
+    if lhs == rhs:
+        return None
     if isinstance(lhs, Series):
         lhs, rhs = lhs.poly, rhs.poly
     keys = sorted(set(dict(lhs.items())) | set(dict(rhs.items())))
@@ -76,7 +78,6 @@ def _first_mismatch(lhs, rhs) -> str:
         if lhs.coeff(a, b) != rhs.coeff(a, b):
             return (f"coefficient of t^{a}*q^{b}: "
                     f"lhs {lhs.coeff(a, b)}, rhs {rhs.coeff(a, b)}")
-    return "polynomials agree"
 
 
 def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly:
@@ -128,10 +129,8 @@ class Theorem:
     either a tuple of (stat, aux) sides, each of whose distributions
     over the labelings or words of ``mode`` must equal the closed form,
     or a function: (forest, labeling, degree) -> (lhs, rhs) for the
-    labeled scope, forest -> CheckReport otherwise.  A labeled row must
-    read the labels only through comparisons with each other and with 0
-    and must not depend on the order of siblings: it is evaluated once
-    per orbit of ``forest.labeling_orbits``.
+    labeled scope, forest -> CheckReport otherwise; a labeled row is
+    evaluated once per labeling orbit, through _orbit_scan.
     A sweep checks sizes ``start`` and up.
     """
 
@@ -236,31 +235,38 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
     """Compare each side's distribution with the closed form; with several
     sides the witness names the failing one."""
     for (stat, aux), lhs in zip(row.lhs, sides):
-        if lhs != rhs:
+        mismatch = _first_mismatch(lhs, rhs)
+        if mismatch is not None:
             name = stat if aux is None else f"({aux}, {stat})"
             prefix = f"{name} side: " if len(row.lhs) > 1 else ""
-            return CheckReport(theorem_id, label, lhs, rhs, False,
-                               prefix + _first_mismatch(lhs, rhs))
+            return CheckReport(theorem_id, label, lhs, rhs, False, prefix + mismatch)
     return CheckReport(theorem_id, label, lhs, rhs, True)
 
 
+def _orbit_scan(forest: Forest, value: Callable, fault: Callable) -> tuple[Optional[str], object]:
+    """value(w), with its weight, for the first labeling w of each orbit of
+    labeling_orbits: (None, [(value, weight), ...]) when fault(value) is
+    None on all, else ("labeling w: fault", value) for the first failing
+    labeling in lexicographic order.  value must be constant on orbits."""
+    values = [(value(w), weight) for w, weight in labeling_orbits(forest)]
+    if any(fault(x) is not None for x, _ in values):
+        # a failing orbit's w is one of the labelings, so the re-scan returns
+        for w in enumerate_labelings(forest):
+            x = value(w)
+            if fault(x) is not None:
+                return f"labeling {w}: {fault(x)}", x
+    return None, values
+
+
 def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
-    """The sum of both sides over the labelings: each orbit of
-    labeling_orbits is checked once, and a passing orbit's two sides are
-    equal, so one total adds its coefficients with its weight.  A failing
-    orbit sends the check over every labeling in lexicographic order, so
-    the witness is the first failing labeling."""
+    """Both sides summed over the labelings through _orbit_scan: the sides
+    of a passing orbit are equal, so one total adds them with its weight."""
+    witness, found = _orbit_scan(forest, lambda w: row.lhs(forest, w, degree),
+                                 lambda sides: _first_mismatch(*sides))
+    if witness is not None:
+        return CheckReport(theorem_id, forest.render(), *found, False, witness)
     total: dict[tuple[int, int], int] = {}
-    for w, weight in labeling_orbits(forest):
-        lhs, rhs = row.lhs(forest, w, degree)
-        if lhs != rhs:
-            # w is one of the labelings, so the scan stops at w at the latest
-            for w in enumerate_labelings(forest):
-                lhs, rhs = row.lhs(forest, w, degree)
-                if lhs != rhs:
-                    break
-            return CheckReport(theorem_id, forest.render(), lhs, rhs, False,
-                               f"labeling {w}: {_first_mismatch(lhs, rhs)}")
+    for (lhs, _), weight in found:
         for key, c in (lhs.poly if isinstance(lhs, Series) else lhs).items():
             total[key] = total.get(key, 0) + c * weight
     poly = BiPoly._trusted({key: c for key, c in total.items() if c})
@@ -274,12 +280,11 @@ def check_even_odd(forest: Forest) -> CheckReport:
     is inv-d's terms, taken outside inv-d's even-signed domain."""
     if forest.n == 0:
         raise ValueError("the even/odd cancellation needs at least one vertex")
-    dist = chaindp.term_distribution(forest, stats.FOREST_TERMS[stats.EVEN_SIGNED_STAT],
-                                     "signed", stats.FOREST_TERMS["n1-f"])
-    value = dist.eval_t(-1)
-    passed = value.is_zero()
-    return CheckReport("eq-even-odd", forest.render(), value, BiPoly.zero(), passed,
-                       None if passed else _first_mismatch(value, BiPoly.zero()))
+    value = chaindp.term_distribution(forest, stats.FOREST_TERMS[stats.EVEN_SIGNED_STAT],
+                                      "signed", stats.FOREST_TERMS["n1-f"]).eval_t(-1)
+    mismatch = _first_mismatch(value, BiPoly.zero())
+    return CheckReport("eq-even-odd", forest.render(), value, BiPoly.zero(), mismatch is None,
+                       mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +473,10 @@ def psi_bijection(sigma: Sequence[int]) -> tuple[int, ...]:
     Exchanges (p, maj-b) with (n1, maj-r) and is an involution.
     """
     tau = list(sigma)
-    for sign_positive in (True, False):
-        group = sorted((v, i) for i, v in enumerate(sigma)
-                       if (v > 0) == sign_positive)
-        values = [v for v, _ in group]
-        for s, (_, i) in enumerate(group):
-            tau[i] = -values[len(values) - 1 - s]
+    for positive in (True, False):
+        group = sorted((v, i) for i, v in enumerate(sigma) if (v > 0) == positive)
+        for (_, i), (v, _) in zip(group, reversed(group)):
+            tau[i] = -v
     return tuple(tau)
 
 
@@ -499,29 +502,29 @@ def mirror_labeling(forest: Forest, w) -> tuple[int, ...]:
     return tuple(-(n + 1 - v) if v > 0 else (n + 1 + v) for v in w)
 
 
+def _mirror_fault(forest: Forest, w) -> Optional[str]:
+    """What the mirror of w breaks, or None."""
+    w2 = mirror_labeling(forest, w)
+    if mirror_labeling(forest, w2) != w:
+        return "mirror is not an involution"
+    r, fm = stats.FOREST_STATS["rmaj-f"](forest, w), stats.FOREST_STATS["fmaj-f"](forest, w2)
+    if r != fm:
+        return f"rmaj {r} != fmaj {fm} of the mirror"
+    p = stats.p_forest(forest, w)
+    if stats.maj_b_forest(forest, w) != stats.maj_forest(forest, w2) + p:
+        return "maj-b does not split as maj' + p"
+    if p != stats.n1_forest(forest, w2):
+        return "positives do not mirror to negatives"
+    return None
+
+
 def check_mirror(forest: Forest) -> CheckReport:
-    """The mirror map is an involution carrying rmaj to fmaj, with the
-    accompanying maj-b and positivity identities."""
-    label = forest.render()
-    rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
-
-    def fail(what):
-        return CheckReport("mirror", label, None, None, False, what)
-
-    for w in enumerate_labelings(forest, "signed"):
-        w2 = mirror_labeling(forest, w)
-        if mirror_labeling(forest, w2) != w:
-            return fail(f"labeling {w}: mirror is not an involution")
-        r = rmaj(forest, w)
-        fm = fmaj(forest, w2)
-        if r != fm:
-            return fail(f"labeling {w}: rmaj {r} != fmaj {fm} of the mirror")
-        if stats.maj_b_forest(forest, w) != (stats.maj_forest(forest, w2)
-                                             + stats.p_forest(forest, w)):
-            return fail(f"labeling {w}: maj-b does not split as maj' + p")
-        if stats.p_forest(forest, w) != stats.n1_forest(forest, w2):
-            return fail(f"labeling {w}: positives do not mirror to negatives")
-    return CheckReport("mirror", label, distribution(forest, "rmaj"),
+    """The mirror is an involution carrying rmaj to fmaj, maj-b to maj' + p
+    and positives to negatives.  It maps sign-order patterns to patterns."""
+    witness, _ = _orbit_scan(forest, partial(_mirror_fault, forest), lambda fault: fault)
+    if witness is not None:
+        return CheckReport("mirror", forest.render(), None, None, False, witness)
+    return CheckReport("mirror", forest.render(), distribution(forest, "rmaj"),
                        distribution(forest, "fmaj"), True)
 
 

@@ -148,11 +148,9 @@ def test_criterion_09_bijections():
         ok = True
         for n in range(7):
             ok = ok and verify.check_psi(n).passed
-        for n in range(6):
-            for forest in enumerate_forests(n):
-                ok = ok and verify.check_mirror(forest).passed
-    _report("9 (value-reversal bijection n<=6; label mirror on forests n<=5)",
-            ok, t.elapsed)
+        ok = ok and all(report.passed for report in verify.sweep("mirror", 6))
+    _report("9 (value-reversal bijection n<=6; label mirror on every unordered "
+            "forest n<=6)", ok, t.elapsed)
 
 
 def test_criterion_10_coset_identity():

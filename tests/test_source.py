@@ -89,3 +89,14 @@ def test_cli_reaches_verify_through_public_names():
                    if isinstance(node, ast.ImportFrom) and node.module == "verify"
                    for alias in node.names if alias.name.startswith("_"))
     assert private <= {"_check_degree", "_partition_pair"}
+
+
+def test_per_labeling_checks_go_through_the_orbit_scan():
+    # inside verify only the orbit scan's re-scan, the callable path of
+    # distribution and the coset identity, which reads label values and
+    # not their pattern, visit every labeling
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    users = {getattr(node, "name", type(node).__name__) for node in tree.body
+             if not isinstance(node, ast.ImportFrom)
+             and "enumerate_labelings" in set(_named([node], False))}
+    assert users == {"_orbit_scan", "distribution", "check_fmaj_coset_identity"}

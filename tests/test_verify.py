@@ -189,6 +189,39 @@ def test_labeled_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     assert report.rhs == Series(report.lhs.poly + extra, 4)
 
 
+def test_mirror_tests_are_constant_on_labeling_orbits():
+    # check_mirror's four tests read these values alone
+    fs = stats.FOREST_STATS
+
+    def values(forest, w):
+        w2 = verify.mirror_labeling(forest, w)
+        return (fs["rmaj-f"](forest, w), fs["fmaj-f"](forest, w2),
+                fs["maj-b-f"](forest, w), fs["maj-f"](forest, w2), fs["p-f"](forest, w),
+                fs["n1-f"](forest, w2), verify.mirror_labeling(forest, w2) == w)
+
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            every = collections.Counter(values(forest, w) for w in enumerate_labelings(forest))
+            weighted = collections.Counter()
+            for w, weight in labeling_orbits(forest):
+                weighted[values(forest, w)] += weight
+            assert every == weighted, forest
+
+
+def test_mirror_witness_is_rescanned_past_orbit_representatives(monkeypatch):
+    # fmaj broken on a negative first label, so on the labelings whose
+    # mirror has one: those with a positive first label.  The orbit of
+    # (1, -2), represented by (-2, 1), passes, and the failing orbit of
+    # (1, 2) sends the check back to (1, -2)
+    forest = parse_forest("()()")
+    assert (1, -2) not in {w for w, _ in labeling_orbits(forest)}
+    fmaj = stats.FOREST_STATS["fmaj-f"]
+    monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda f, w: fmaj(f, w) + (w[0] < 0))
+    report = verify.check_mirror(forest)
+    assert not report.passed
+    assert report.witness == "labeling (1, -2): rmaj 1 != fmaj 2 of the mirror"
+
+
 def summed(sides, degree):
     """The sum of the polynomials or series, the series added on .poly."""
     total = sum((getattr(side, "poly", side) for side in sides), BiPoly.zero())
@@ -600,6 +633,52 @@ def test_term_distribution_rejects_bad_terms():
 def test_callable_statistics_are_validated():
     with pytest.raises(TypeError):
         verify.distribution(parse_forest("(())"), lambda forest, w: 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the chain DP against brute force over weighted labeling orbits
+
+def _orbit_weighted(forest, stat, aux=None):
+    """The signed (aux, stat) distribution as labeling_orbits weights it."""
+    tally = collections.Counter()
+    for w, weight in labeling_orbits(forest):
+        key = (stats.FOREST_STATS[aux](forest, w) if aux else 0,
+               stats.FOREST_STATS[stat](forest, w))
+        tally[key] += weight
+    return BiPoly(tally)
+
+
+def _orbit_oracle(forest, stat, aux=None):
+    """_orbit_weighted, refused for a statistic with an n2 term: n2
+    compares absolute values across the signs, which orbits leave free."""
+    for name in (stat, aux):
+        if name and "n2" in stats.FOREST_TERMS[name]:
+            raise ValueError(f"{name} has an n2 term: orbits do not fix it")
+    return _orbit_weighted(forest, stat, aux)
+
+
+def test_orbit_weights_miscount_n2_from_the_first_comparable_pair():
+    chain2 = parse_forest("(())")
+    for stat in ("inv-b-f", "n2-f", "nmaj-f"):
+        assert _orbit_weighted(chain2, stat) != verify.distribution(chain2, stat), stat
+        with pytest.raises(ValueError, match="n2 term"):
+            _orbit_oracle(chain2, stat)
+    with pytest.raises(ValueError, match="n2 term"):
+        _orbit_oracle(chain2, "fmaj-f", aux="n2-f")
+
+
+MAJ_PAIRS = [("fmaj-f", "n1-f"), ("rmaj-f", "p-f")]
+
+
+@pytest.mark.parametrize("stat, aux, sizes", [
+    *[(stat, aux, range(5)) for stat, aux in MAJ_PAIRS],
+    *[pytest.param(stat, aux, [6], marks=pytest.mark.slow) for stat, aux in MAJ_PAIRS]])
+def test_dp_matches_the_orbit_oracle(stat, aux, sizes):
+    for n in sizes:
+        # one forest per unordered class
+        for forest in {canonical_form(f.render()): f for f in enumerate_forests(n)}.values():
+            assert verify.distribution(forest, stat, aux=aux) == _orbit_oracle(forest, stat, aux), \
+                forest
 
 
 # ---------------------------------------------------------------------------
