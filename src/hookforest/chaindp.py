@@ -14,14 +14,16 @@ and whether u is a root:
 combination of these terms.  The distribution over all labelings of a
 sign mode is then built by placing labels on the vertices in preorder,
 one vertex per level, carrying for each reachable state the histogram
-of (aux, stat) over the partial labelings that reach it.
+of (aux, stat) over the partial labelings that reach it.  Even-signed
+mode is one signed run with the aux (n+1)*aux + n1, read back as the
+slices with even n1.
 
 Children are visited shortest subtree first (no statistic depends on
 the planar order), so a vertex stops being an attach point before the
-walk enters its deepest subtree.  The state after each vertex is
-(chain, parity):
+walk enters its deepest subtree.  The state after each vertex is its
+chain:
 
-* ``chain`` holds the labels on the path from the root down to the
+* the chain holds the labels on the path from the root down to the
   parent of the next vertex, the ancestors of every vertex still to
   come.  A label is stored only while some later term can read it.
   An ancestor that is the parent of some later vertex (an attach
@@ -48,13 +50,11 @@ walk enters its deepest subtree.  The state after each vertex is
   unused values with no chain label between them give a leaf the same
   terms and the same next state, so they are one move with a
   multiplicity.
-* ``parity`` is the parity of the negative labels in even-signed mode
-  and 0 otherwise.
 
 Only the current level is kept.  A histogram is one Python int: the
 count of (a, s) sits in the k-bit slot a*S + s, where k exceeds the
-bit length of the number of labelings and S exceeds the largest stat
-exponent.  Adding a vertex's terms is then a left shift and merging two
+bit length of the number of labelings the run visits and S exceeds
+the largest stat exponent.  Adding a vertex's terms is then a left shift and merging two
 partial histograms an addition; no slot can overflow into the next,
 because no count exceeds the number of labelings.  The final histogram
 is read out by ``qpoly._decode``, the decoder of the packed closed
@@ -65,6 +65,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 
 from .forest import Forest, hook_lengths, labeling_count
 from .qpoly import BiPoly, _decode
@@ -84,10 +86,11 @@ def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
     """
     n, parent, children = forest.n, forest.parent, forest.children
     h = hook_lengths(forest)
-    height = [0] * (n + 1)
+    # descending preorder visits every child before its parent
+    height = [1] * (n + 1)
     for v in range(n, 0, -1):
-        height[v] = 1 + max((height[c] for c in children[v]), default=0)
-    kids = [sorted(children[v], key=height.__getitem__) for v in range(n + 1)]
+        height[parent[v]] = max(height[parent[v]], height[v] + 1)
+    kids = [sorted(c, key=height.__getitem__) for c in children]
     order: list[int] = []
     stack = kids[0][::-1]
     while stack:
@@ -113,9 +116,8 @@ def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
     return steps
 
 
-def _coefficients(forest: Forest, terms) -> tuple[dict[str, int], int, int]:
-    """Nonnegative term coefficients, the constant to add back, and the
-    largest exponent the combination can reach on this forest.
+def _coefficients(terms, n: int) -> tuple[dict[str, int], int]:
+    """Nonnegative term coefficients and the constant to add back.
 
     Every vertex has exactly one of n1 and p, so a negative sign
     coefficient is moved onto the other sign with a constant offset:
@@ -130,13 +132,7 @@ def _coefficients(forest: Forest, terms) -> tuple[dict[str, int], int, int]:
     coef["p"] -= low
     if any(c < 0 for c in coef.values()):
         raise ValueError(f"only the sign terms may have negative coefficients: {dict(terms)}")
-    n = forest.n
-    h = hook_lengths(forest)
-    pairs = sum(h[1:]) - n
-    top = {"inv": pairs, "n2": pairs, "n1": n, "p": n,
-           "maj": sum(h[v] for v in range(1, n + 1) if forest.parent[v]),
-           "maj-b": sum(h[1:])}
-    return coef, low * n, sum(c * top[t] for t, c in coef.items())
+    return coef, low * n
 
 
 @lru_cache(maxsize=None)
@@ -154,69 +150,86 @@ def _takes(n: int) -> dict[int, dict[int, int]]:
     return takes
 
 
+def _sorted_in(run: tuple[int, ...], y: int, lo: int) -> tuple[int, ...]:
+    """The chain with y inserted into its sorted tail ``run[lo:]``."""
+    j = bisect_left(run, y, lo)
+    return run[:j] + (y,) + run[j:]
+
+
 def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                       aux_terms=None) -> BiPoly:
     """Sum of t^aux q^stat over the labelings of the given mode, where
     stat and aux are maps from TERMS to integer coefficients."""
     n = forest.n
-    k = labeling_count(n, mode).bit_length() + 1
-    stat, stat_off, stat_top = _coefficients(forest, stat_terms)
-    aux, aux_off, _ = _coefficients(forest, aux_terms or {})
-    width = stat_top + 1
+    even = mode == "even-signed"
+    k = labeling_count(n, "signed" if even else mode).bit_length() + 1
+    stat, stat_off = _coefficients(stat_terms, n)
+    aux, aux_off = _coefficients(aux_terms or {}, n)
+    if even:
+        aux, aux_off = {t: (n + 1) * c + (t == "n1") for t, c in aux.items()}, (n + 1) * aux_off
+    # the largest stat exponent; inv, n2 and maj reach hooks - n, the non-root hooks
+    hooks = sum(hook_lengths(forest)[1:])
+    width = 1 + ((stat["inv"] + stat["n2"] + stat["maj"]) * (hooks - n)
+                 + (stat["n1"] + stat["p"]) * n + stat["maj-b"] * hooks)
     w = {t: k * (width * aux[t] + stat[t]) for t in TERMS}
     w_inv, w_n2, w_pos, w_neg = w["inv"], w["n2"], w["p"], w["n1"]
     count_below = bool(w_inv or w_n2)
     exact = bool(w["maj"] or w["maj-b"])
-    signs = 1 if mode == "ordinary" else 2
-    parity = 1 if mode == "even-signed" else 0
+    signed = mode != "ordinary"
     takes = _takes(n)
 
-    frontier = {((), 0): 1}
+    frontier = {(): 1}
     for i, (root, hook, push, merge, keep) in enumerate(_steps(forest)):
         w_des = hook * (w["maj-b"] if root else w["maj"] + w["maj-b"])
-        unused = range(2, 2 * (n - i) + 2, 2)
-        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        stop = 2 * (n - i) + 2
+        level = [(c, takes[c]) for c in range(2, stop, 2)]
+        # with no maj term a pushed label is sorted into the run it joins
+        insert = merge is not None and not exact
+        nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         while frontier:
-            (chain, par), hist = frontier.popitem()
+            chain, hist = frontier.popitem()
             above = 0 if root else chain[-1]
             ranks = sorted(chain) if count_below else ()
             if push:
-                # every unused value gives its own next chain; the label
-                # is inserted into the sorted tail from `cut` on
                 if merge is not None:
                     run = sorted(chain[merge:]) if count_below else (0,) * (len(chain) - merge)
                     chain = chain[:merge] + tuple(run)
-                cut = len(chain) if merge is None or exact else merge
-                moves = [(c, hist) for c in unused]
+                moves, parts = level, repeat(hist)
             else:
                 # the leaf's value and the cut labels leave; unused values
                 # with no chain label between them give the same terms and
                 # the same next chain
                 taken = {abs(a) for a in chain}
-                starts = [c for c in unused if c == 2 or c - 1 in taken]
-                moves = [(c, hist * ((end - c) // 2))
-                         for c, end in zip(starts, starts[1:] + [unused.stop])]
+                starts = [c for c in range(2, stop, 2) if c == 2 or c - 1 in taken]
+                moves = [(c, takes[c]) for c in starts]
+                parts = [hist * ((end - c) // 2) for c, end in zip(starts, starts[1:] + [stop])]
                 chain = chain[:keep]
-            for c, part in moves:
-                to = takes[c]
-                after = tuple(map(to.__getitem__, chain))
-                for x in (c, -c)[:signs]:
-                    if x > 0:
-                        shift, key_par = w_pos, par
-                    else:
-                        shift, key_par = w_neg, par ^ parity
-                    if count_below:
-                        shift += w_inv * bisect_left(ranks, x) + w_n2 * bisect_left(ranks, -x)
-                    if x > above:
-                        shift += w_des
-                    if push:
-                        y = to[x]
-                        j = bisect_left(after, y, cut)
-                        key = (after[:j] + (y,) + after[j:], key_par)
-                    else:
-                        key = (after, key_par)
-                    nxt[key] = get(key, 0) + (part << shift)
+            pick = itemgetter(*chain) if len(chain) > 1 else None  # one index: a bare item
+            for (c, to), part in zip(moves, parts):
+                after = pick(to) if pick else tuple(map(to.__getitem__, chain))
+                # +c and -c see the same counts, swapped: #a < c and #a < -c
+                up, down = w_pos, w_neg
+                if count_below:
+                    below, below_neg = bisect_left(ranks, c), bisect_left(ranks, -c)
+                    up += w_inv * below + w_n2 * below_neg
+                    down += w_inv * below_neg + w_n2 * below
+                if c > above:
+                    up += w_des
+                if -c > above:
+                    down += w_des
+                if not push:
+                    nxt[after] = get(after, 0) + (part << up) + ((part << down) if signed else 0)
+                    continue
+                key = _sorted_in(after, c - 1, merge) if insert else after + (c - 1,)
+                nxt[key] = get(key, 0) + (part << up)
+                if signed:
+                    y = to[-c]
+                    key = _sorted_in(after, y, merge) if insert else after + (y,)
+                    nxt[key] = get(key, 0) + (part << down)
         frontier = nxt
 
-    return _decode(frontier.get(((), 0), 0), k, width, aux_off, stat_off)
+    dist = _decode(frontier.get((), 0), k, width, aux_off, stat_off)
+    # as 0 <= n1 <= n, (n+1)*aux + n1 splits by divmod; BiPoly sums the slices
+    return BiPoly(((a // (n + 1), s), c) for (a, s), c in dist.items()
+                  if a % (n + 1) % 2 == 0) if even else dist

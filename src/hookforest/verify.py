@@ -481,18 +481,17 @@ def psi_bijection(sigma: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_psi(n: int) -> CheckReport:
-    """psi is bijective and carries (p, maj-b) to (n1, maj-r); both joint
-    distributions match the closed form (1+tq)^n [n]!."""
+    """psi is an involution, hence bijective, and carries (p, maj-b) to
+    (n1, maj-r); both joint distributions match (1+tq)^n [n]!."""
     label = f"n={n}"
-    seen = set()
     for sigma in enumerate_words(n, "signed"):
         tau = psi_bijection(sigma)
+        if psi_bijection(tau) != sigma:
+            return CheckReport("psi", label, None, None, False,
+                               f"sigma={sigma}: psi is not an involution")
         if stats.maj_b(sigma) != stats.maj_r(tau) or stats.p(sigma) != stats.n1(tau):
             return CheckReport("psi", label, None, None, False,
                                f"sigma={sigma}: statistics not carried over")
-        seen.add(tau)
-    if len(seen) != labeling_count(n, "signed"):
-        return CheckReport("psi", label, None, None, False, "psi is not injective")
     return replace(check_theorem(chain_forest(n), "eq-reiner"), theorem="psi")
 
 

@@ -48,6 +48,15 @@ def test_psi_witness(monkeypatch):
     assert report.witness == "sigma=(-1,): statistics not carried over"
 
 
+def test_psi_witness_names_a_word_psi_does_not_send_back(monkeypatch):
+    # dropping the signs maps (-1,) to (1,) and (1,) to itself, so it is
+    # neither an involution nor a bijection
+    monkeypatch.setattr(verify, "psi_bijection", lambda sigma: tuple(abs(v) for v in sigma))
+    report = verify.check_psi(1)
+    assert not report.passed
+    assert report.witness == "sigma=(-1,): psi is not an involution"
+
+
 signed_words = st.integers(0, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).flatmap(
         lambda perm: st.tuples(*[st.sampled_from([v, -v]) for v in perm])))

@@ -100,3 +100,14 @@ def test_per_labeling_checks_go_through_the_orbit_scan():
              if not isinstance(node, ast.ImportFrom)
              and "enumerate_labelings" in set(_named([node], False))}
     assert users == {"_orbit_scan", "distribution", "check_fmaj_coset_identity"}
+
+
+def test_chaindp_caches_only_the_gap_code_maps():
+    # nothing is cached between calls but the code maps of _takes, which
+    # depend on n alone: a cache keyed on a forest or a state would turn
+    # repeated inputs into lookups
+    tree = ast.parse((SRC / "chaindp.py").read_text(), filename="chaindp.py")
+    cached = {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and {"lru_cache", "cache", "cached_property"} & set(_named(node.decorator_list, False))}
+    assert cached == {"_takes"}

@@ -568,6 +568,15 @@ def test_dp_matches_brute_force_every_case_small():
     _assert_dp_matches([f for n in range(5) for f in enumerate_forests(n)], list(_cases()))
 
 
+@pytest.mark.parametrize("aux", ["rmaj-f", "inv-b-f"])
+def test_dp_even_slices_match_brute_force(aux):
+    # even-signed mode is the even-n1 slice of one signed run with aux
+    # (n+1)*aux + n1; rmaj-f's -p coefficient moves a constant offset
+    # into that exponent before the slices are split off
+    cases = [(stat, "even-signed", aux) for stat in stats.FOREST_TERMS]
+    _assert_dp_matches([f for n in range(5) for f in enumerate_forests(n)], cases)
+
+
 def test_dp_matches_brute_force_theorems_n5():
     cases = [(stats.resolve_forest_stat(stat)[0], verify.THEOREMS[t].mode,
               aux and stats.resolve_forest_stat(aux)[0])
