@@ -131,3 +131,27 @@ def test_mirror_witness(monkeypatch):
     report = verify.check_mirror(chain_forest(2))
     assert not report.passed
     assert report.witness == "labeling (-2, -1): rmaj 2 != fmaj 4 of the mirror"
+
+
+def test_mirror_witness_names_a_labeling_the_mirror_does_not_send_back(monkeypatch):
+    # dropping the signs sends (-2, -1) to (2, 1), which it keeps
+    monkeypatch.setattr(verify, "mirror_labeling", lambda forest, w: tuple(abs(v) for v in w))
+    report = verify.check_mirror(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "labeling (-2, -1): mirror is not an involution"
+
+
+def test_mirror_witness_names_the_maj_b_split(monkeypatch):
+    maj = stats.maj_forest
+    monkeypatch.setattr(stats, "maj_forest", lambda forest, w: maj(forest, w) + 1)
+    report = verify.check_mirror(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "labeling (-2, -1): maj-b does not split as maj' + p"
+
+
+def test_mirror_witness_names_the_sign_count(monkeypatch):
+    n1 = stats.n1_forest
+    monkeypatch.setattr(stats, "n1_forest", lambda forest, w: n1(forest, w) + 1)
+    report = verify.check_mirror(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "labeling (-2, -1): positives do not mirror to negatives"

@@ -47,7 +47,8 @@ ARGVS = (
        ["sweep", "--max-n", "3", "--theorem", "psi", "--format", "records"],
        ["sweep", "--max-n", "3", "--theorem", "mirror", "--format", "records"],
        ["check", "--forest", "(()())", "--theorem", "mirror", "--format", "records"],
-       ["sweep", "--max-n", "4", "--theorem", "mirror", "--format", "records"]]
+       ["sweep", "--max-n", "4", "--theorem", "mirror", "--format", "records"],
+       ["sweep", "--max-n", "5", "--theorem", "psi", "--format", "records"]]
 )
 
 

@@ -208,6 +208,22 @@ def test_mirror_tests_are_constant_on_labeling_orbits():
             assert every == weighted, forest
 
 
+def test_psi_tests_are_constant_on_labeling_orbits():
+    # check_psi's two tests read these values alone, and a signed word is
+    # a labeling of the chain
+    def values(sigma):
+        tau = verify.psi_bijection(sigma)
+        return (verify.psi_bijection(tau) == sigma, stats.maj_b(sigma), stats.maj_r(tau),
+                stats.p(sigma), stats.n1(tau))
+
+    for n in range(6):
+        every = collections.Counter(map(values, enumerate_words(n, "signed")))
+        weighted = collections.Counter()
+        for sigma, weight in labeling_orbits(chain_forest(n)):
+            weighted[values(sigma)] += weight
+        assert every == weighted, n
+
+
 def test_mirror_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     # fmaj broken on a negative first label, so on the labelings whose
     # mirror has one: those with a positive first label.  The orbit of
@@ -279,6 +295,31 @@ def test_coset_witness(monkeypatch):
     report = verify.check_fmaj_coset_identity(chain_forest(2))
     assert not report.passed
     assert report.witness == "w=(1, 2), tau=(-1, -2): descent set changed"
+
+
+def test_coset_witness_names_the_negative_count(monkeypatch):
+    n1 = stats.n1_forest
+    monkeypatch.setattr(stats, "n1_forest", lambda forest, w: n1(forest, w) + 1)
+    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "w=(1, 2), tau=(1, 2): negative count changed"
+
+
+def test_coset_witness_names_the_fmaj_split(monkeypatch):
+    fmaj = stats.FOREST_STATS["fmaj-f"]
+    monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda forest, w: fmaj(forest, w) + 1)
+    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "w=(1, 2), tau=(1, 2): fmaj does not split"
+
+
+def test_coset_witness_names_a_missed_labeling(monkeypatch):
+    # without its last representative the relabelings miss 2 of the 8
+    reps = stats.increasing_signed_words
+    monkeypatch.setattr(stats, "increasing_signed_words", lambda n: list(reps(n))[:-1])
+    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    assert not report.passed
+    assert report.witness == "relabelings do not cover the signed labelings"
 
 
 @pytest.fixture
