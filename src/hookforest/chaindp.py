@@ -103,9 +103,8 @@ def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
     for i, u in enumerate(order):
         p = parent[u]
         anc = ancestors[u] = ancestors[p] + (p,) if p else ()
-        merge = None
+        merge, keep = None, 0
         if kids[u]:
-            keep = len(anc) + 1
             if p and kids[p][-1] == u:
                 merge = 1 + max((j for j, a in enumerate(anc[:-1])
                                  if position[kids[a][-1]] > i), default=-1)

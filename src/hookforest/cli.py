@@ -103,7 +103,7 @@ def cmd_linext(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    verify._check_degree(args.degree)
+    verify._check_at_least("degree", args.degree, 0)
     forest = parse_forest_input(args.forest)
     w = validate_labeling(forest, parse_labeling(args.labeling))
     series, closed = verify._partition_pair(forest, w, args.degree)

@@ -181,19 +181,9 @@ def _theorem(theorem_id: str) -> Theorem:
     return row
 
 
-def _check_max_n(max_n: int) -> None:
-    if max_n < 0:
-        raise ValueError(f"max-n must be nonnegative, got {max_n}")
-
-
-def _check_degree(degree: int) -> None:
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
 
 
 def closed_form(theorem_id: str, forest: Forest) -> BiPoly:
@@ -214,7 +204,7 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
     ``degree`` is the truncation level for the series-based checks.
     """
     row = _theorem(theorem_id)
-    _check_degree(degree)
+    _check_at_least("degree", degree, 0)
     if row.scope == "labeled":
         return _check_labeled(theorem_id, row, forest, degree)
     if callable(row.lhs):
@@ -243,28 +233,30 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
     return CheckReport(theorem_id, label, lhs, rhs, True)
 
 
-def _orbit_scan(forest: Forest, value: Callable, fault: Callable) -> tuple[Optional[str], object]:
+def _orbit_scan(forest: Forest, value: Callable,
+                fault: Callable) -> tuple[Optional[tuple], object]:
     """value(w), with its weight, for the first labeling w of each orbit of
     labeling_orbits: (None, [(value, weight), ...]) when fault(value) is
-    None on all, else ("labeling w: fault", value) for the first failing
-    labeling in lexicographic order.  value must be constant on orbits."""
+    None on all, else (w, fault(value(w))) for the first failing labeling
+    w in lexicographic order.  value must be constant on orbits."""
     values = [(value(w), weight) for w, weight in labeling_orbits(forest)]
     if any(fault(x) is not None for x, _ in values):
         # a failing orbit's w is one of the labelings, so the re-scan returns
         for w in enumerate_labelings(forest):
-            x = value(w)
-            if fault(x) is not None:
-                return f"labeling {w}: {fault(x)}", x
+            found = fault(value(w))
+            if found is not None:
+                return w, found
     return None, values
 
 
 def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
     """Both sides summed over the labelings through _orbit_scan: the sides
     of a passing orbit are equal, so one total adds them with its weight."""
-    witness, found = _orbit_scan(forest, lambda w: row.lhs(forest, w, degree),
-                                 lambda sides: _first_mismatch(*sides))
-    if witness is not None:
-        return CheckReport(theorem_id, forest.render(), *found, False, witness)
+    w, found = _orbit_scan(forest, lambda w: row.lhs(forest, w, degree),
+                           lambda sides: _first_mismatch(*sides))
+    if w is not None:
+        return CheckReport(theorem_id, forest.render(), *row.lhs(forest, w, degree), False,
+                           f"labeling {w}: {found}")
     total: dict[tuple[int, int], int] = {}
     for (lhs, _), weight in found:
         for key, c in (lhs.poly if isinstance(lhs, Series) else lhs).items():
@@ -480,18 +472,23 @@ def psi_bijection(sigma: Sequence[int]) -> tuple[int, ...]:
     return tuple(tau)
 
 
+def _psi_fault(sigma) -> Optional[str]:
+    """What psi breaks on the signed word sigma, or None."""
+    tau = psi_bijection(sigma)
+    if psi_bijection(tau) != sigma:
+        return "psi is not an involution"
+    if stats.maj_b(sigma) != stats.maj_r(tau) or stats.p(sigma) != stats.n1(tau):
+        return "statistics not carried over"
+    return None
+
+
 def check_psi(n: int) -> CheckReport:
     """psi is an involution, hence bijective, and carries (p, maj-b) to
-    (n1, maj-r); both joint distributions match (1+tq)^n [n]!."""
-    label = f"n={n}"
-    for sigma in enumerate_words(n, "signed"):
-        tau = psi_bijection(sigma)
-        if psi_bijection(tau) != sigma:
-            return CheckReport("psi", label, None, None, False,
-                               f"sigma={sigma}: psi is not an involution")
-        if stats.maj_b(sigma) != stats.maj_r(tau) or stats.p(sigma) != stats.n1(tau):
-            return CheckReport("psi", label, None, None, False,
-                               f"sigma={sigma}: statistics not carried over")
+    (n1, maj-r), tested on one signed word, a labeling of the chain, per
+    sign-order pattern; both joint distributions match (1+tq)^n [n]!."""
+    sigma, fault = _orbit_scan(chain_forest(n), _psi_fault, lambda fault: fault)
+    if sigma is not None:
+        return CheckReport("psi", f"n={n}", None, None, False, f"sigma={sigma}: {fault}")
     return replace(check_theorem(chain_forest(n), "eq-reiner"), theorem="psi")
 
 
@@ -520,9 +517,9 @@ def _mirror_fault(forest: Forest, w) -> Optional[str]:
 def check_mirror(forest: Forest) -> CheckReport:
     """The mirror is an involution carrying rmaj to fmaj, maj-b to maj' + p
     and positives to negatives.  It maps sign-order patterns to patterns."""
-    witness, _ = _orbit_scan(forest, partial(_mirror_fault, forest), lambda fault: fault)
-    if witness is not None:
-        return CheckReport("mirror", forest.render(), None, None, False, witness)
+    w, fault = _orbit_scan(forest, partial(_mirror_fault, forest), lambda fault: fault)
+    if w is not None:
+        return CheckReport("mirror", forest.render(), None, None, False, f"labeling {w}: {fault}")
     return CheckReport("mirror", forest.render(), distribution(forest, "rmaj"),
                        distribution(forest, "fmaj"), True)
 
@@ -666,9 +663,9 @@ def sweep(theorem_id: str, max_n: int, degree: int = 10, jobs: int = 1,
     regardless of the worker count.
     """
     row = _theorem(theorem_id)
-    _check_max_n(max_n)
-    _check_degree(degree)
-    _check_jobs(jobs)
+    _check_at_least("max-n", max_n, 0)
+    _check_at_least("degree", degree, 0)
+    _check_at_least("jobs", jobs, 1)
     check = lambda f: check_theorem(f, theorem_id, degree=degree)
     return list(_reports(check, row.scope, row.start, max_n, jobs, fail_fast))
 
@@ -681,8 +678,8 @@ def counterexample_search(stat_a, stat_b, mode: str = "signed", max_n: int = 5,
     (callables too) must not depend on the order of siblings."""
     for stat in (stat_a, stat_b):
         stats.resolve_forest_stat(stat)
-    _check_max_n(max_n)
-    _check_jobs(jobs)
+    _check_at_least("max-n", max_n, 0)
+    _check_at_least("jobs", jobs, 1)
 
     def check(forest: Forest) -> CheckReport:
         da, db = distribution(forest, stat_a, mode), distribution(forest, stat_b, mode)

@@ -1,6 +1,7 @@
 """The value-reversing involution on signed words and the label mirror
 on signed labeled forests."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from hookforest import stats, verify
@@ -30,6 +31,12 @@ def test_psi_check_reports():
     for n in range(5):
         report = verify.check_psi(n)
         assert report.passed, report.summary()
+
+
+@pytest.mark.slow
+def test_psi_check_reports_n7():
+    report = verify.check_psi(7)
+    assert report.passed, report.summary()
 
 
 def test_psi_failure_names_the_failing_side(monkeypatch):

@@ -88,18 +88,29 @@ def test_cli_reaches_verify_through_public_names():
     private.update(alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module == "verify"
                    for alias in node.names if alias.name.startswith("_"))
-    assert private <= {"_check_degree", "_partition_pair"}
+    assert private <= {"_check_at_least", "_partition_pair"}
+
+
+def _verify_users(name):
+    """Top-level statements of verify, imports left out, whose code names
+    ``name``: functions by their names, others by their node types."""
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    return {getattr(node, "name", type(node).__name__) for node in tree.body
+            if not isinstance(node, ast.ImportFrom) and name in set(_named([node], False))}
 
 
 def test_per_labeling_checks_go_through_the_orbit_scan():
     # inside verify only the orbit scan's re-scan, the callable path of
     # distribution and the coset identity, which reads label values and
     # not their pattern, visit every labeling
-    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
-    users = {getattr(node, "name", type(node).__name__) for node in tree.body
-             if not isinstance(node, ast.ImportFrom)
-             and "enumerate_labelings" in set(_named([node], False))}
-    assert users == {"_orbit_scan", "distribution", "check_fmaj_coset_identity"}
+    assert _verify_users("enumerate_labelings") == {
+        "_orbit_scan", "distribution", "check_fmaj_coset_identity"}
+
+
+def test_only_the_size_rows_oracle_visits_every_word():
+    # the size rows' word pass is their brute-force oracle; psi, whose
+    # words are labelings of the chain, goes through the orbit scan
+    assert _verify_users("enumerate_words") == {"check_theorem"}
 
 
 def test_chaindp_caches_only_the_gap_code_maps():
