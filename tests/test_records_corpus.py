@@ -49,6 +49,10 @@ ARGVS = (
        ["check", "--forest", "(()())", "--theorem", "mirror", "--format", "records"],
        ["sweep", "--max-n", "4", "--theorem", "mirror", "--format", "records"],
        ["sweep", "--max-n", "5", "--theorem", "psi", "--format", "records"]]
+    + [["rhs", "--forest", "[0,1,1,3,2,0,4,5,7,9]", "--theorem", t, "--format", "records"]
+       for t in LABELING_FREE_IDS]
+    + [["sweep", "--max-n", "5", "--theorem", t, "--format", "records"]
+       for t in ("thm-inv-d", "thm-bivariate-inv", "thm-rmaj")]
 )
 
 
