@@ -65,7 +65,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import repeat
 from operator import itemgetter
 
 from .forest import Forest, hook_lengths, labeling_count
@@ -149,12 +148,6 @@ def _takes(n: int) -> dict[int, dict[int, int]]:
     return takes
 
 
-def _sorted_in(run: tuple[int, ...], y: int, lo: int) -> tuple[int, ...]:
-    """The chain with y inserted into its sorted tail ``run[lo:]``."""
-    j = bisect_left(run, y, lo)
-    return run[:j] + (y,) + run[j:]
-
-
 def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                       aux_terms=None) -> BiPoly:
     """Sum of t^aux q^stat over the labelings of the given mode, where
@@ -181,31 +174,34 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
     for i, (root, hook, push, merge, keep) in enumerate(_steps(forest)):
         w_des = hook * (w["maj-b"] if root else w["maj"] + w["maj-b"])
         stop = 2 * (n - i) + 2
-        level = [(c, takes[c]) for c in range(2, stop, 2)]
+        # (c, its map, pushed -c) per unused code c, highest first for a leaf
+        level = [(c, takes[c], takes[c][-c]) for c in range(stop - 2, 0, -2)]
         # with no maj term a pushed label is sorted into the run it joins
         insert = merge is not None and not exact
         nxt: dict[tuple[int, ...], int] = {}
         get = nxt.get
         while frontier:
             chain, hist = frontier.popitem()
+            part, end = hist, stop
             above = 0 if root else chain[-1]
             ranks = sorted(chain) if count_below else ()
             if push:
                 if merge is not None:
                     run = sorted(chain[merge:]) if count_below else (0,) * (len(chain) - merge)
                     chain = chain[:merge] + tuple(run)
-                moves, parts = level, repeat(hist)
             else:
                 # the leaf's value and the cut labels leave; unused values
                 # with no chain label between them give the same terms and
-                # the same next chain
+                # the same next chain, so the lowest of them moves for all
                 taken = {abs(a) for a in chain}
-                starts = [c for c in range(2, stop, 2) if c == 2 or c - 1 in taken]
-                moves = [(c, takes[c]) for c in starts]
-                parts = [hist * ((end - c) // 2) for c, end in zip(starts, starts[1:] + [stop])]
                 chain = chain[:keep]
             pick = itemgetter(*chain) if len(chain) > 1 else None  # one index: a bare item
-            for (c, to), part in zip(moves, parts):
+            for c, to, y in level:
+                if not push:
+                    if c > 2 and c - 1 not in taken:
+                        continue
+                    # this move stands for the unused values c, ..., end - 2
+                    part, end = hist * ((end - c) // 2), c
                 after = pick(to) if pick else tuple(map(to.__getitem__, chain))
                 # +c and -c see the same counts, swapped: #a < c and #a < -c
                 up, down = w_pos, w_neg
@@ -220,11 +216,18 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                 if not push:
                     nxt[after] = get(after, 0) + (part << up) + ((part << down) if signed else 0)
                     continue
-                key = _sorted_in(after, c - 1, merge) if insert else after + (c - 1,)
+                if insert:
+                    j = bisect_left(after, c - 1, merge)
+                    key = after[:j] + (c - 1,) + after[j:]
+                else:
+                    key = after + (c - 1,)
                 nxt[key] = get(key, 0) + (part << up)
                 if signed:
-                    y = to[-c]
-                    key = _sorted_in(after, y, merge) if insert else after + (y,)
+                    if insert:
+                        j = bisect_left(after, y, merge)
+                        key = after[:j] + (y,) + after[j:]
+                    else:
+                        key = after + (y,)
                     nxt[key] = get(key, 0) + (part << down)
         frontier = nxt
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import stats
 from .forest import Forest, hook_lengths
-from .qpoly import BiPoly, Series, _product, geometric_series, q_factorial, q_number
+from .qpoly import BiPoly, Series, _product, q_factorial
 
 
 def extension_count(forest: Forest) -> int:
@@ -25,25 +25,24 @@ def extension_count(forest: Forest) -> int:
     return count
 
 
-def _hook_product(forest: Forest, factor, scale: int | None = None,
+def _hook_product(forest: Forest, runs, scale: int | None = None,
                   degree: int | None = None):
-    """scale (by default e(F)) times factor(h_u) for every vertex u, as one
-    packed product (``qpoly._product``); with a degree, the Series
-    truncated there.  Every factor has nonnegative coefficients."""
+    """scale (by default e(F)) times the runs of h_u for every vertex u, as
+    one packed product (``qpoly._product``); with a degree, the Series
+    truncated there."""
     if scale is None:
         scale = extension_count(forest)
-    return _product([BiPoly.term(scale)] + [factor(h) for h in hook_lengths(forest)[1:]],
-                    degree)
+    return _product(scale, [r for h in hook_lengths(forest)[1:] for r in runs(h)], degree)
 
 
 def rhs_bw(forest: Forest) -> BiPoly:
     """Ordinary-labeling distribution of inv or maj: e(F) * prod [h_u]."""
-    return _hook_product(forest, q_number)
+    return _hook_product(forest, lambda h: [(0, 1, h)])
 
 
 def rhs_inv_b(forest: Forest) -> BiPoly:
     """Signed distribution of inv-b: e(F) * prod [2 h_u]."""
-    return _hook_product(forest, lambda h: q_number(2 * h))
+    return _hook_product(forest, lambda h: [(0, 1, 2 * h)])
 
 
 def rhs_inv_d(forest: Forest) -> BiPoly:
@@ -55,13 +54,12 @@ def rhs_inv_d(forest: Forest) -> BiPoly:
     if forest.n == 0:
         return BiPoly.one()
     # for a leaf the binomial factor degenerates to the constant 2
-    return _hook_product(
-        forest, lambda h: (BiPoly.one() + BiPoly.term(1, q=h - 1)) * q_number(h)).div_int(2)
+    return _hook_product(forest, lambda h: [(0, h - 1, 2), (0, 1, h)]).div_int(2)
 
 
 def rhs_bivariate_inv(forest: Forest) -> BiPoly:
     """Joint (negatives, inv-b) distribution: e(F) * prod (1 + t q^h)[h]."""
-    return _hook_product(forest, lambda h: BiPoly({(0, 0): 1, (1, h): 1}) * q_number(h))
+    return _hook_product(forest, lambda h: [(1, h, 2), (0, 1, h)])
 
 
 def rhs_bivariate_majb(forest: Forest) -> BiPoly:
@@ -78,7 +76,7 @@ def rhs_bivariate_majb(forest: Forest) -> BiPoly:
 @lru_cache(maxsize=None)
 def _linext_quotient(forest: Forest) -> BiPoly:
     # [n]! / prod [h_u]; a polynomial with nonnegative integer coefficients
-    return q_factorial(forest.n).div_exact_q(_hook_product(forest, q_number, 1))
+    return q_factorial(forest.n).div_exact_q(_hook_product(forest, lambda h: [(0, 1, h)], 1))
 
 
 def rhs_linext(forest: Forest, w) -> BiPoly:
@@ -89,7 +87,7 @@ def rhs_linext(forest: Forest, w) -> BiPoly:
 @lru_cache(maxsize=None)
 def _partition_product(forest: Forest, degree: int) -> Series:
     # prod 1 / (1 - q^{h_u}), truncated at the degree
-    return _hook_product(forest, lambda h: geometric_series(h, degree).poly, 1, degree)
+    return _hook_product(forest, lambda h: [(0, h, degree // h + 1)], 1, degree)
 
 
 def rhs_partition_gf(forest: Forest, w, degree: int) -> Series:

@@ -4,8 +4,9 @@ The distributions computed elsewhere reach coefficients of order
 2^n * n!, so everything here is plain Python integer arithmetic and
 nothing ever rounds.  ``BiPoly`` is the ring element; ``Series`` is a
 q-truncated view used for the infinite-product identities.  Products of
-polynomials with nonnegative coefficients, such as the hook-length
-closed forms, are taken on a packed form: one int per polynomial.
+runs, the polynomials 1 + x + ... + x^(m-1) in a monomial x = t^a q^b
+that make up the hook-length closed forms, are taken on a packed form:
+one int per polynomial.
 """
 
 from __future__ import annotations
@@ -242,7 +243,7 @@ def q_factorial(m: int) -> BiPoly:
     """Product of the q-numbers 1..m, with the empty product equal to 1."""
     if m < 0:
         raise ValueError("q-factorial needs a nonnegative argument")
-    return _product([q_number(k) for k in range(2, m + 1)])
+    return _product(1, [(0, 1, k) for k in range(2, m + 1)])
 
 
 class Series:
@@ -289,15 +290,7 @@ def geometric_series(h: int, degree: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# the packed form: products of polynomials with nonnegative coefficients
-
-def _pack(poly: BiPoly, k: int, width: int) -> int:
-    """The polynomial as one int, the coefficient of t^a q^b in the k-bit
-    slot a*width + b.  Packed polynomials multiply as ints while every
-    coefficient of the result lies in [0, 2^k) and every q-exponent is
-    below width, so that no slot spills into the next."""
-    return sum(c << k * (a * width + b) for (a, b), c in poly._terms.items())
-
+# the packed form: products of runs, polynomials with coefficients 0 and 1
 
 def _decode(value: int, k: int, width: int, t_off: int = 0, q_off: int = 0) -> BiPoly:
     """The polynomial packed in a nonnegative int: the k-bit slot
@@ -331,23 +324,29 @@ def _decode(value: int, k: int, width: int, t_off: int = 0, q_off: int = 0) -> B
     return BiPoly._trusted(out)
 
 
-def _product(factors: list[BiPoly], degree: int | None = None) -> Union[BiPoly, Series]:
-    """The product of polynomials with nonnegative coefficients; with a
-    degree, the Series truncated there.
+def _product(scale: int, runs: list, degree: int | None = None) -> Union[BiPoly, Series]:
+    """scale times the product of the runs; with a degree, the Series
+    truncated there.  A run (a, b, m) is the sum of (t^a q^b)^j over
+    j < m: [m] is (0, 1, m), 1 + t^a q^b is (a, b, 2) and the truncated
+    1 / (1 - q^h) is (0, h, degree // h + 1).
 
-    No coefficient of the product exceeds its coefficient sum, the
-    product of the factors' sums, and its q-degree is the sum of theirs,
-    so the factors are packed with slots of that sum's bit length in
-    rows longer than that degree, multiplied as ints and decoded once.
-    A truncated product has t-free factors and one row, cut after the
-    slot of the degree at every step.
+    No coefficient of the product exceeds scale times every m, and its
+    q-degree is the sum of every b * (m - 1), so each run is packed with
+    slots of that bound's bit length in rows longer than that degree,
+    t^a q^b in the slot a * width + b, multiplied as an int and decoded
+    once.  A truncated product has t-free runs and one row, cut after
+    the slot of the degree at every step.
     """
-    k = max(math.prod(sum(f._terms.values()) for f in factors).bit_length(), 1)
-    width = 1 + (sum(f.q_degree for f in factors) if degree is None else degree)
+    k = max((scale * math.prod(m for _, _, m in runs)).bit_length(), 1)
+    width = 1 + (sum(b * (m - 1) for _, b, m in runs) if degree is None else degree)
     keep = (1 << k * width) - 1
-    value = 1
-    for f in factors:
-        value *= _pack(f, k, width)
+    value = scale
+    for a, b, m in runs:
+        s = k * (a * width + b)
+        # a q-run is a repunit quotient in base 2^s; a t-run is too wide to
+        # divide fast, and a (0, 0, m) run is the constant m
+        value *= (((1 << m * s) - 1) // ((1 << s) - 1) if a == 0 < b
+                  else sum(1 << j * s for j in range(m)))
         if degree is not None:
             value &= keep
     poly = _decode(value, k, width)

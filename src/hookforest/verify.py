@@ -236,16 +236,19 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
 def _orbit_scan(forest: Forest, value: Callable,
                 fault: Callable) -> tuple[Optional[tuple], object]:
     """value(w), with its weight, for the first labeling w of each orbit of
-    labeling_orbits: (None, [(value, weight), ...]) when fault(value) is
-    None on all, else (w, fault(value(w))) for the first failing labeling
-    w in lexicographic order.  value must be constant on orbits."""
-    values = [(value(w), weight) for w, weight in labeling_orbits(forest)]
-    if any(fault(x) is not None for x, _ in values):
-        # a failing orbit's w is one of the labelings, so the re-scan returns
-        for w in enumerate_labelings(forest):
-            found = fault(value(w))
-            if found is not None:
-                return w, found
+    labeling_orbits whose value is not None: (None, [(value, weight), ...])
+    when fault(value) is None on all, else (w, fault(value(w))) for the
+    first failing labeling w in lexicographic order.  value must be
+    constant on orbits."""
+    values = []
+    for w, weight in labeling_orbits(forest):
+        x = value(w)
+        if fault(x) is not None:
+            # w is one of the labelings, so the lexicographic re-scan finds one
+            return next((w, found) for w in enumerate_labelings(forest)
+                        if (found := fault(value(w))) is not None)
+        if x is not None:
+            values.append((x, weight))
     return None, values
 
 

@@ -1,6 +1,8 @@
 """The value-reversing involution on signed words and the label mirror
 on signed labeled forests."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +64,14 @@ def test_psi_witness_names_a_word_psi_does_not_send_back(monkeypatch):
     report = verify.check_psi(1)
     assert not report.passed
     assert report.witness == "sigma=(-1,): psi is not an involution"
+
+
+def test_passing_pattern_checks_keep_no_orbit_values():
+    # a fault predicate's passing value is None, so the scan keeps nothing
+    assert verify._orbit_scan(chain_forest(3), verify._psi_fault, lambda f: f) == (None, [])
+    forest = parse_forest("(()())")
+    assert verify._orbit_scan(forest, partial(verify._mirror_fault, forest),
+                              lambda f: f) == (None, [])
 
 
 signed_words = st.integers(0, 8).flatmap(

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hookforest.qpoly import (BiPoly, Series, _decode, _pack, geometric_series,
+from hookforest.qpoly import (BiPoly, Series, _decode, _product, geometric_series,
                               q_factorial, q_number)
 
 
@@ -177,6 +177,11 @@ def test_series_is_a_record():
         assert not hasattr(Series, name), name
 
 
+def _packed(poly, k, width):
+    # the coefficient of t^a q^b in the k-bit slot a*width + b
+    return sum(c << k * (a * width + b) for (a, b), c in poly.items())
+
+
 @pytest.mark.parametrize("terms, k, width", [
     ({}, 3, 1),                                     # the zero polynomial
     ({(0, 0): 7}, 3, 1),                            # a constant
@@ -186,16 +191,41 @@ def test_series_is_a_record():
 ])
 def test_pack_decode_round_trip(terms, k, width):
     poly = BiPoly(terms)
-    assert _decode(_pack(poly, k, width), k, width) == poly
+    assert _decode(_packed(poly, k, width), k, width) == poly
 
 
 def test_decode_offsets():
     # chaindp moves negative sign terms onto the other sign and hands the
     # constant to the decoder as a negative offset
-    packed = _pack(BiPoly({(2, 3): 1, (3, 5): 4}), 3, 6)
+    packed = _packed(BiPoly({(2, 3): 1, (3, 5): 4}), 3, 6)
     assert _decode(packed, 3, 6, -2, -3) == BiPoly({(0, 0): 1, (1, 2): 4})
     assert _decode(packed, 3, 6, 1, 0) == BiPoly({(3, 3): 1, (4, 5): 4})
     with pytest.raises(ValueError, match="negative exponent"):
         _decode(packed, 3, 6, -3, 0)
     with pytest.raises(ValueError, match="negative exponent"):
         _decode(packed, 3, 6, 0, -4)
+
+
+def _run(a, b, m):
+    return BiPoly(((a * j, b * j), 1) for j in range(m))
+
+
+@pytest.mark.parametrize("scale, runs, degree", [
+    (1, [], None),                                  # no runs
+    (7, [], None),                                  # a scale alone
+    (3, [(0, 0, 4), (0, 1, 3)], None),              # a (0, 0, m) run
+    (2, [(1, 2, 3), (0, 1, 4)], None),              # a t-run with m = 3
+    (5, [(0, 1, 3), (0, 2, 2), (1, 1, 2), (2, 3, 2)], None),
+    (1, [(0, 1, 3), (0, 2, 4)], 0),                 # degree 0
+    (2, [(0, 4, 3), (0, 1, 3)], 3),                 # a degree below a run's step
+    (1, [(0, h, 12 // h + 1) for h in (1, 2, 3, 5)], 12),
+])
+def test_product_of_runs_matches_bipoly_product(scale, runs, degree):
+    expected = BiPoly.term(scale)
+    for run in runs:
+        expected = expected * _run(*run)
+    got = _product(scale, runs, degree)
+    if degree is None:
+        assert got == expected
+    else:
+        assert got == Series(expected, degree)
