@@ -53,6 +53,8 @@ ARGVS = (
        for t in LABELING_FREE_IDS]
     + [["sweep", "--max-n", "5", "--theorem", t, "--format", "records"]
        for t in ("thm-inv-d", "thm-bivariate-inv", "thm-rmaj")]
+    + [["sweep", "--max-n", "5", "--degree", "6", "--theorem", t, "--format", "records"]
+       for t in ("thm-le1", "lem-partition-gf", "mirror")]
 )
 
 
