@@ -3,9 +3,10 @@ verification sweeps, partition/extension inspection, and counterexample
 search.
 
 Exit codes: 0 when every requested check passes (or a query succeeds),
-1 when a verification fails, 2 on usage or parse errors.  All results
-go to stdout, diagnostics to stderr.  ``--format records`` emits JSON
-built on the [t-exp, q-exp, coeff] triple encoding of polynomials.
+1 when a verification fails, 2 on usage or parse errors or a forest too
+deep for the recursive enumerations.  All results go to stdout,
+diagnostics to stderr.  ``--format records`` emits JSON built on the
+[t-exp, q-exp, coeff] triple encoding of polynomials.
 """
 
 from __future__ import annotations
@@ -239,8 +240,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
+    except RecursionError:
+        message = f"input nests deeper than Python's recursion limit of {sys.getrecursionlimit()}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

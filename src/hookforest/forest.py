@@ -292,36 +292,32 @@ def enumerate_labelings(forest: Forest, mode: str = "signed") -> Iterator[tuple[
 
 
 def labeling_orbits(forest: Forest) -> Iterator[tuple[tuple[int, ...], int]]:
-    """One (w, weight) per orbit of the signed labelings under two moves:
-    keeping the sign-order pattern, and automorphisms of the unordered
-    forest.  The weights sum to labeling_count(forest.n, "signed").
-
-    A pattern is the relative order of w_1, ..., w_n and 0: the rank of
-    each label among the n, and the number k of negatives.  It stands
-    for C(n, k) labelings, one per choice of the negative absolute
-    values.  Two patterns with the same k are related by an automorphism
-    iff their labeled canonical forms agree: a vertex keyed by its rank
-    plus its children's keys, sorted.  w labels the orbit's first rank
-    vector in lexicographic order, ranks 1..k as -n..-(n-k+1) and the
-    others as 1..n-k, so it is the orbit's lexicographically first
-    labeling; weight is the orbit's size.
-    What compares labels only with each other and with 0, not reading
-    sibling order, is constant on an orbit.  n2 is not: a + b < 0 compares
-    absolute values across signs, so orbits miscount n2, inv-b and nmaj.
-    """
+    """One (w, weight) per orbit of the signed labelings under keeping the
+    sign-order pattern (each label's rank among the n, and the number k of
+    negatives: C(n, k) labelings) and automorphisms of the unordered forest.
+    These act freely on rank vectors, whose ranks are distinct, so every orbit
+    weighs |Aut(F)| * C(n, k).  Swaps of same-shape siblings generate them and
+    first change the earlier sibling's rank, so an orbit's one vector ranking
+    every such pair in plane order is its lexicographically first; k by k, w
+    labels these in lexicographic order, ranks 1..k as -n..-(n-k+1), the rest
+    as 1..n-k.  Orbits keep what compares labels only with each other and
+    with 0, ignoring sibling order; not n2 (a + b < 0 compares absolute
+    values across signs), so they miscount n2, inv-b and nmaj."""
     n, kids = forest.n, forest.children
-    # an automorphism keeps k, so the orbits of rank vectors serve every k
-    orbits: dict[tuple, list] = {}
-    for ranks in itertools.permutations(range(1, n + 1)):
-        key: list[tuple] = [()] * (n + 1)
-        # children are numbered after their parent, so they are keyed first
-        for v in range(n, 0, -1):
-            key[v] = (ranks[v - 1], *sorted(key[c] for c in kids[v]))
-        orbit = orbits.setdefault(tuple(sorted(key[r] for r in kids[0])), [ranks, 0])
-        orbit[1] += 1
+    shape: list[tuple] = [()] * (n + 1)
+    twins, automorphisms = [], 1  # twins: positions of neighbouring same-shape siblings
+    # children are numbered after their parent, so they are shaped first
+    for v in range(n, -1, -1):
+        shape[v] = tuple(sorted(shape[c] for c in kids[v]))
+        for i, c in enumerate(kids[v]):
+            same = [b - 1 for b in kids[v][:i] if shape[b] == shape[c]]
+            automorphisms *= len(same) + 1  # a shape's j-th sibling adds a factor j
+            twins += [(b, c - 1) for b in same[-1:]]
     for k in range(n + 1):
-        for ranks, size in orbits.values():
-            yield tuple(r - n - 1 if r <= k else r - k for r in ranks), size * math.comb(n, k)
+        weight = automorphisms * math.comb(n, k)
+        for ranks in itertools.permutations(range(1, n + 1)):
+            if all(ranks[b] < ranks[c] for b, c in twins):
+                yield tuple(r - n - 1 if r <= k else r - k for r in ranks), weight
 
 
 def labeling_count(n: int, mode: str) -> int:

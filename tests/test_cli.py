@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -163,6 +164,19 @@ def test_partitions_negative_degree(capsys):
                          "--degree", "-2")
     assert code == 2 and out == ""
     assert err == "error: degree must be nonnegative, got -2\n"
+
+
+@pytest.mark.parametrize("argv", [("linext",), ("partitions", "--degree", "0")])
+def test_deep_forest_is_a_usage_error(capsys, argv):
+    # the extension and partition generators recurse once per vertex, so a
+    # chain longer than the recursion limit cannot be enumerated; exit 1
+    # would read as a failed verification
+    n = 1100
+    code, out, err = run(capsys, *argv, "--forest", "(" * n + ")" * n,
+                         "--labeling=" + ",".join(map(str, range(1, n + 1))))
+    assert code == 2 and out == ""
+    assert err == f"error: input nests deeper than Python's recursion limit of " \
+                  f"{sys.getrecursionlimit()}\n"
 
 
 def test_bijections(capsys):

@@ -333,6 +333,26 @@ def test_labeling_orbits_match_brute_force_automorphisms():
                 orbits.setdefault(key, []).append(w)
             assert sorted(labeling_orbits(f)) == sorted(
                 (members[0], len(members)) for members in orbits.values())
+            # automorphisms act freely on rank vectors: every orbit has
+            # len(autos) patterns of C(n, k) labelings each
+            for w, weight in labeling_orbits(f):
+                assert weight == len(autos) * math.comb(n, sum(1 for v in w if v < 0))
+
+
+def test_labeling_orbits_stream(monkeypatch):
+    # the first orbit is yielded after one rank vector is read: no table
+    # of orbits is built first
+    read = []
+    permutations = itertools.permutations
+
+    def counting(*args):
+        for ranks in permutations(*args):
+            read.append(ranks)
+            yield ranks
+
+    monkeypatch.setattr(itertools, "permutations", counting)
+    assert next(labeling_orbits(chain_forest(7))) == ((1, 2, 3, 4, 5, 6, 7), 1)
+    assert len(read) == 1
 
 
 def test_labeling_orbit_examples():
