@@ -54,7 +54,7 @@ ARGVS = (
     + [["sweep", "--max-n", "5", "--theorem", t, "--format", "records"]
        for t in ("thm-inv-d", "thm-bivariate-inv", "thm-rmaj")]
     + [["sweep", "--max-n", "5", "--degree", "6", "--theorem", t, "--format", "records"]
-       for t in ("thm-le1", "lem-partition-gf", "mirror")]
+       for t in ("thm-le1", "lem-partition-gf", "mirror", "eq-coset-fmaj")]
 )
 
 
