@@ -11,8 +11,7 @@ with the CLI to the implementations.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .forest import Forest, comparable_pairs, hook_lengths
 
@@ -123,16 +122,6 @@ def rmaj(sigma: Word) -> int:
 def dmaj(sigma: Word) -> int:
     """Type-D major index: maj + n2."""
     return maj(sigma) + n2(sigma)
-
-
-def increasing_signed_words(n: int) -> Iterator[tuple[int, ...]]:
-    """The 2^n signed words with strictly increasing values.
-
-    These are the minimal coset representatives splitting the signed
-    permutations over the ordinary ones.
-    """
-    for signs in itertools.product((1, -1), repeat=n):
-        yield tuple(sorted(s * k for k, s in enumerate(signs, start=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
 from .forest import (Forest, _balanced_strings, canonical_form, chain_forest,
-                     enumerate_labelings, enumerate_words, hook_lengths,
-                     labeling_count, labeling_orbits, linear_extensions, parse_forest)
+                     enumerate_labelings, enumerate_words, hook_lengths, labeling_orbits,
+                     linear_extensions, parse_forest)
 from .qpoly import BiPoly, Series, _decode
 
 
@@ -238,8 +238,10 @@ def _orbit_scan(forest: Forest, value: Callable,
     """value(w), with its weight, for the first labeling w of each orbit of
     labeling_orbits whose value is not None: (None, [(value, weight), ...])
     when fault(value) is None on all, else (w, fault(value(w))) for the
-    first failing labeling w in lexicographic order.  value must be
-    constant on orbits."""
+    first failing labeling w in lexicographic order.  Whether the fault is
+    None, and a passing orbit's value, must be constant on orbits; a
+    witness may name what is w's own, as the coset check names w's
+    factors."""
     values = []
     for w, weight in labeling_orbits(forest):
         x = value(w)
@@ -527,35 +529,39 @@ def check_mirror(forest: Forest) -> CheckReport:
                        distribution(forest, "fmaj"), True)
 
 
+def _coset_factors(u) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The one factorization u = tau o w of a signed labeling, with tau =
+    sorted(u) an increasing signed word and w, the ranks of u's values,
+    an ordinary labeling: (tau, w)."""
+    tau = tuple(sorted(u))
+    rank = {v: i for i, v in enumerate(tau, start=1)}
+    return tau, tuple(rank[v] for v in u)
+
+
+def _coset_fault(forest: Forest, u) -> Optional[str]:
+    """What the factorization of u breaks, or None."""
+    tau, w = _coset_factors(u)
+    if stats.descents_forest(forest, u) != stats.descents_forest(forest, w):
+        return "descent set changed"
+    negatives = stats.n1(tau)
+    if stats.n1_forest(forest, u) != negatives:
+        return "negative count changed"
+    if stats.FOREST_STATS["fmaj-f"](forest, u) != 2 * stats.maj_forest(forest, w) + negatives:
+        return "fmaj does not split"
+    return None
+
+
 def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
-    """fmaj of a relabeled forest splits as 2*maj of the ordinary part
-    plus the negatives of the coset representative; the relabelings
-    cover every signed labeling exactly once."""
-    n = forest.n
-    label = forest.render()
-    fmaj = stats.FOREST_STATS["fmaj-f"]
-    seen = set()
-    reps = list(stats.increasing_signed_words(n))
-
-    def fail(what):
-        return CheckReport("eq-coset-fmaj", label, None, None, False, what)
-
-    for w in enumerate_labelings(forest, "ordinary"):
-        des = stats.descents_forest(forest, w)
-        twice_maj = 2 * stats.maj_forest(forest, w)
-        for tau in reps:
-            tw = tuple(tau[v - 1] for v in w)
-            if stats.descents_forest(forest, tw) != des:
-                return fail(f"w={w}, tau={tau}: descent set changed")
-            negatives = sum(1 for v in tau if v < 0)
-            if stats.n1_forest(forest, tw) != negatives:
-                return fail(f"w={w}, tau={tau}: negative count changed")
-            if fmaj(forest, tw) != twice_maj + negatives:
-                return fail(f"w={w}, tau={tau}: fmaj does not split")
-            seen.add(tw)
-    if len(seen) != labeling_count(n, "signed"):
-        return fail("relabelings do not cover the signed labelings")
-    return CheckReport("eq-coset-fmaj", label, None, None, True)
+    """fmaj of each signed labeling u = tau o w splits as 2*maj of its
+    ordinary part w plus the negatives of its increasing part tau.  The
+    tests read only comparisons and signs, so they go through the orbit
+    scan; the factorization is unique, so the labelings are covered."""
+    u, fault = _orbit_scan(forest, partial(_coset_fault, forest), lambda fault: fault)
+    if u is not None:
+        tau, w = _coset_factors(u)
+        return CheckReport("eq-coset-fmaj", forest.render(), None, None, False,
+                           f"w={w}, tau={tau}: {fault}")
+    return CheckReport("eq-coset-fmaj", forest.render(), None, None, True)
 
 
 # ---------------------------------------------------------------------------

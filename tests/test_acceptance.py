@@ -156,10 +156,10 @@ def test_criterion_09_bijections():
 def test_criterion_10_coset_identity():
     with _Timer() as t:
         ok = True
-        for n in range(5):
+        for n in range(6):
             for forest in enumerate_forests(n):
                 ok = ok and verify.check_fmaj_coset_identity(forest).passed
-    _report("10 (fmaj coset splitting identity, every forest n<=4)", ok, t.elapsed)
+    _report("10 (fmaj coset splitting identity, every forest n<=5)", ok, t.elapsed)
 
 
 def test_criterion_11_counterexamples():

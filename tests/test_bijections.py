@@ -84,25 +84,18 @@ def test_psi_is_an_involution(sigma):
     assert verify.psi_bijection(verify.psi_bijection(sigma)) == sigma
 
 
-def coset_decompose(sigma):
-    """Split a signed word as tau o pi: tau its increasing rearrangement,
-    pi the ordinary permutation of positions with tau[pi_i - 1] = sigma_i."""
-    tau = tuple(sorted(sigma))
-    rank = {v: i for i, v in enumerate(tau, start=1)}
-    pi = tuple(rank[v] for v in sigma)
-    return tau, pi
-
-
 def test_coset_decompose_examples():
-    assert coset_decompose((1, 2)) == ((1, 2), (1, 2))
-    assert coset_decompose((2, -1)) == ((-1, 2), (2, 1))
-    assert coset_decompose((-2, -1)) == ((-2, -1), (1, 2))
+    # sigma = tau o pi: tau its increasing rearrangement, pi the ordinary
+    # permutation of positions with tau[pi_i - 1] = sigma_i
+    assert verify._coset_factors((1, 2)) == ((1, 2), (1, 2))
+    assert verify._coset_factors((2, -1)) == ((-1, 2), (2, 1))
+    assert verify._coset_factors((-2, -1)) == ((-2, -1), (1, 2))
 
 
 def test_coset_decompose_reconstructs():
     for n in range(5):
         for sigma in enumerate_words(n, "signed"):
-            tau, pi = coset_decompose(sigma)
+            tau, pi = verify._coset_factors(sigma)
             assert list(tau) == sorted(sigma)
             assert sorted(pi) == list(range(1, n + 1))
             assert tuple(tau[i - 1] for i in pi) == sigma

@@ -100,11 +100,9 @@ def _verify_users(name):
 
 
 def test_per_labeling_checks_go_through_the_orbit_scan():
-    # inside verify only the orbit scan's re-scan, the callable path of
-    # distribution and the coset identity, which reads label values and
-    # not their pattern, visit every labeling
-    assert _verify_users("enumerate_labelings") == {
-        "_orbit_scan", "distribution", "check_fmaj_coset_identity"}
+    # inside verify only the orbit scan's re-scan and the callable path
+    # of distribution visit every labeling
+    assert _verify_users("enumerate_labelings") == {"_orbit_scan", "distribution"}
 
 
 def test_only_the_size_rows_oracle_visits_every_word():

@@ -288,13 +288,16 @@ def test_coset_identity_small():
 
 
 def test_coset_witness(monkeypatch):
-    # with every signed word as a coset representative, tau = (-1, -2)
-    # turns the ascent of w = (1, 2) on the chain into a descent
-    monkeypatch.setattr(stats, "increasing_signed_words",
-                        lambda n: enumerate_words(n, "signed"))
+    # with tau decreasing, w reverses u's comparisons: the descent of
+    # u = (-2, -1) on the chain is an ascent of w = (2, 1)
+    def decreasing(u):
+        tau = tuple(sorted(u, reverse=True))
+        return tau, tuple(tau.index(v) + 1 for v in u)
+
+    monkeypatch.setattr(verify, "_coset_factors", decreasing)
     report = verify.check_fmaj_coset_identity(chain_forest(2))
     assert not report.passed
-    assert report.witness == "w=(1, 2), tau=(-1, -2): descent set changed"
+    assert report.witness == "w=(2, 1), tau=(-1, -2): descent set changed"
 
 
 def test_coset_witness_names_the_negative_count(monkeypatch):
@@ -302,7 +305,7 @@ def test_coset_witness_names_the_negative_count(monkeypatch):
     monkeypatch.setattr(stats, "n1_forest", lambda forest, w: n1(forest, w) + 1)
     report = verify.check_fmaj_coset_identity(chain_forest(2))
     assert not report.passed
-    assert report.witness == "w=(1, 2), tau=(1, 2): negative count changed"
+    assert report.witness == "w=(1, 2), tau=(-2, -1): negative count changed"
 
 
 def test_coset_witness_names_the_fmaj_split(monkeypatch):
@@ -310,16 +313,44 @@ def test_coset_witness_names_the_fmaj_split(monkeypatch):
     monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda forest, w: fmaj(forest, w) + 1)
     report = verify.check_fmaj_coset_identity(chain_forest(2))
     assert not report.passed
-    assert report.witness == "w=(1, 2), tau=(1, 2): fmaj does not split"
+    assert report.witness == "w=(1, 2), tau=(-2, -1): fmaj does not split"
 
 
-def test_coset_witness_names_a_missed_labeling(monkeypatch):
-    # without its last representative the relabelings miss 2 of the 8
-    reps = stats.increasing_signed_words
-    monkeypatch.setattr(stats, "increasing_signed_words", lambda n: list(reps(n))[:-1])
-    report = verify.check_fmaj_coset_identity(chain_forest(2))
+def test_coset_tests_are_constant_on_labeling_orbits():
+    # check_fmaj_coset_identity's three tests read these values alone
+    def values(forest, u):
+        tau, w = verify._coset_factors(u)
+        return (stats.descents_forest(forest, u) == stats.descents_forest(forest, w),
+                stats.n1_forest(forest, u), stats.n1(tau),
+                stats.FOREST_STATS["fmaj-f"](forest, u), stats.maj_forest(forest, w))
+
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            every = collections.Counter(values(forest, u) for u in enumerate_labelings(forest))
+            weighted = collections.Counter()
+            for u, weight in labeling_orbits(forest):
+                weighted[values(forest, u)] += weight
+            assert every == weighted, forest
+
+
+def test_coset_witness_is_rescanned_past_orbit_representatives(monkeypatch):
+    # fmaj broken on a positive first label.  The orbit of (1, -2),
+    # represented by (-2, 1), passes, and the failing orbit of (1, 2)
+    # sends the check back to (1, -2), whose own factors are named
+    forest = parse_forest("()()")
+    assert (1, -2) not in {w for w, _ in labeling_orbits(forest)}
+    fmaj = stats.FOREST_STATS["fmaj-f"]
+    monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda f, w: fmaj(f, w) + (w[0] > 0))
+    report = verify.check_fmaj_coset_identity(forest)
     assert not report.passed
-    assert report.witness == "relabelings do not cover the signed labelings"
+    assert report.witness == "w=(2, 1), tau=(-2, 1): fmaj does not split"
+
+
+@pytest.mark.slow
+def test_coset_identity_swept_to_n6():
+    reports = verify.sweep("eq-coset-fmaj", 6)
+    assert len(reports) == sum(len(list(enumerate_forests(n))) for n in range(7))
+    assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
 
 
 @pytest.fixture
