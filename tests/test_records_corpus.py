@@ -55,6 +55,12 @@ ARGVS = (
        for t in ("thm-inv-d", "thm-bivariate-inv", "thm-rmaj")]
     + [["sweep", "--max-n", "5", "--degree", "6", "--theorem", t, "--format", "records"]
        for t in ("thm-le1", "lem-partition-gf", "mirror", "eq-coset-fmaj")]
+    + [["partitions", "--forest", "((()())())", "--labeling=3,-1,4,-5,2", "--degree", d,
+        "--format", "records"] for d in ("0", "6", "10")]
+    + [["partitions", "--forest", "()()()()", "--labeling=1,2,3,4", "--degree", "10",
+        "--format", "records"],
+       ["partitions", "--forest", "((((()))))", "--labeling=-1,-2,-3,-4,-5", "--degree", "10",
+        "--format", "records"]]
 )
 
 
