@@ -4,7 +4,8 @@ search.
 
 Exit codes: 0 when every requested check passes (or a query succeeds),
 1 when a verification fails, 2 on usage or parse errors or a forest too
-deep for the recursive enumerations.  All results go to stdout,
+deep for the recursive linear-extension enumeration (``linext``, and
+``partitions`` through dec1).  All results go to stdout,
 diagnostics to stderr.  ``--format records`` emits JSON built on the
 [t-exp, q-exp, coeff] triple encoding of polynomials.
 """

@@ -308,34 +308,54 @@ def enumerate_partitions(forest: Forest, w, max_total: int) -> Iterator[tuple[in
     """Type-B partitions of (F, w) with weight at most max_total, in
     lexicographic order.
 
-    Stanley's P-partition enumeration, with the type-B root condition:
-    the vertices take values in preorder, each starting at its parent's
-    value, one higher when the parent's label is smaller, and a root at
-    1 when its label is positive and at 0 otherwise.  The parent
-    conditions imply those of every comparable pair.  Every value below
-    a vertex is at least its own, so a value times the hook length must
-    fit in the weight still unassigned.
+    Stanley's P-partition enumeration, with the type-B root condition,
+    run as an odometer over the vertices in preorder.  Each vertex's
+    lowest value is its parent's, one higher when the parent's label is
+    smaller, and a root's is 1 when its label is positive and 0
+    otherwise; the parent conditions imply those of every comparable
+    pair.  Every value below a vertex is at least its own, so a value
+    times the hook length must fit in the weight still unassigned, kept
+    per vertex in ``room``.  The walk sets the vertices to their lowest
+    values down to the last one, which runs through its whole range;
+    then it raises the deepest vertex whose next value still fits and
+    resets every later vertex to its lowest.  A later vertex's range
+    depends only on earlier values, so this is counting in a
+    mixed-radix odometer and the maps come out in lexicographic order.
     """
     if max_total < 0:
         raise ValueError("weight bound must be nonnegative")
     n, parent = forest.n, forest.parent
+    if not n:
+        yield ()
+        return
     h = hook_lengths(forest)
-    f = [0] * n
-
-    def rec(v: int, room: int) -> Iterator[tuple[int, ...]]:
-        if v > n:
-            yield tuple(f)
-            return
-        p = parent[v]
-        if p:
-            low = f[p - 1] + (w[p - 1] < w[v - 1])
+    # f[0] stays 0, so a root's lowest value is f[0] + [its label > 0]
+    step = [0] + [w[p - 1] < w[v - 1] if p else w[v - 1] > 0
+                  for v, p in enumerate(parent[1:], 1)]
+    f = [0] * (n + 1)
+    room = [0] * (n + 1)
+    room[1] = max_total
+    v = 1
+    while True:
+        while v < n:
+            x = f[parent[v]] + step[v]
+            if x * h[v] > room[v]:
+                break
+            f[v] = x
+            room[v + 1] = room[v] - x
+            v += 1
         else:
-            low = 1 if w[v - 1] > 0 else 0
-        for x in range(low, room // h[v] + 1):
-            f[v - 1] = x
-            yield from rec(v + 1, room - x)
-
-    yield from rec(1, max_total)
+            prefix = tuple(f[1:n])
+            for x in range(f[parent[n]] + step[n], room[n] // h[n] + 1):
+                yield prefix + (x,)
+        v -= 1
+        while v and (f[v] + 1) * h[v] > room[v]:
+            v -= 1
+        if not v:
+            return
+        f[v] += 1
+        room[v + 1] = room[v] - f[v]
+        v += 1
 
 
 def partition_lhs_series(forest: Forest, w, degree: int) -> Series:

@@ -168,9 +168,10 @@ def test_partitions_negative_degree(capsys):
 
 @pytest.mark.parametrize("argv", [("linext",), ("partitions", "--degree", "0")])
 def test_deep_forest_is_a_usage_error(capsys, argv):
-    # the extension and partition generators recurse once per vertex, so a
-    # chain longer than the recursion limit cannot be enumerated; exit 1
-    # would read as a failed verification
+    # the linear-extension generator recurses once per vertex, and
+    # `partitions` reads it for dec1, so neither command can run on a
+    # chain longer than the recursion limit; exit 1 would read as a
+    # failed verification
     n = 1100
     code, out, err = run(capsys, *argv, "--forest", "(" * n + ")" * n,
                          "--labeling=" + ",".join(map(str, range(1, n + 1))))

@@ -3,6 +3,7 @@ over linear extensions."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -49,6 +50,32 @@ def grid_partitions(forest, w, max_total):
     the all-pairs membership test."""
     return [f for f in bounded_grid(forest.n, max_total)
             if all_pairs_partition_b(forest, w, f)]
+
+
+def recursive_partitions(forest, w, max_total):
+    """Reference: the recursive preorder lister, one ``yield from``
+    frame per vertex, with the same lowest values and the same room
+    test as the odometer in ``verify.enumerate_partitions``."""
+    if max_total < 0:
+        raise ValueError("weight bound must be nonnegative")
+    n, parent = forest.n, forest.parent
+    h = hook_lengths(forest)
+    f = [0] * n
+
+    def rec(v, room):
+        if v > n:
+            yield tuple(f)
+            return
+        p = parent[v]
+        if p:
+            low = f[p - 1] + (w[p - 1] < w[v - 1])
+        else:
+            low = 1 if w[v - 1] > 0 else 0
+        for x in range(low, room // h[v] + 1):
+            f[v - 1] = x
+            yield from rec(v + 1, room - x)
+
+    yield from rec(1, max_total)
 
 
 def weight_series(maps, degree):
@@ -111,6 +138,35 @@ def test_enumerate_partitions_matches_the_grid(paren, max_bound):
         for bound in range(max_bound + 1):
             assert (list(verify.enumerate_partitions(forest, w, bound))
                     == [f for f in reference if sum(f) <= bound])
+
+
+def _reference_cases(n):
+    # every signed labeling below n = 5; from there one forest per
+    # unordered class and one labeling per orbit
+    if n < 5:
+        return [(f, w) for f in enumerate_forests(n) for w in enumerate_labelings(f, "signed")]
+    classes = {canonical_form(f.render()): f for f in enumerate_forests(n)}
+    return [(f, w) for f in classes.values() for w, _ in labeling_orbits(f)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_enumerate_partitions_matches_the_recursive_reference(n):
+    for forest, w in _reference_cases(n):
+        for bound in range(7):
+            assert (list(verify.enumerate_partitions(forest, w, bound))
+                    == list(recursive_partitions(forest, w, bound))), (forest, w, bound)
+
+
+def test_enumerate_partitions_on_a_chain_deeper_than_the_recursion_limit():
+    n = 1100
+    chain = chain_forest(n)
+    assert n > sys.getrecursionlimit()
+    counts = [sum(1 for _ in verify.enumerate_partitions(chain, all_negative(n), d))
+              for d in (0, 1, 3)]
+    # weakly increasing maps of weight at most d: integer partitions of
+    # 0..d, so 1, 1 + 1 and 1 + 1 + 2 + 3
+    assert counts == [1, 2, 7]
+    assert list(verify.enumerate_partitions(chain, tuple(range(1, n + 1)), 10)) == []
 
 
 def test_partition_series_examples():
