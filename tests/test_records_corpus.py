@@ -61,6 +61,8 @@ ARGVS = (
         "--format", "records"],
        ["partitions", "--forest", "((((()))))", "--labeling=-1,-2,-3,-4,-5", "--degree", "10",
         "--format", "records"]]
+    + [["sweep", "--max-n", "6", "--theorem", t, "--format", "records"]
+       for t in ("eq-reiner", "psi")]
 )
 
 
