@@ -302,7 +302,9 @@ def labeling_orbits(forest: Forest) -> Iterator[tuple[tuple[int, ...], int]]:
     labels these in lexicographic order, ranks 1..k as -n..-(n-k+1), the rest
     as 1..n-k.  Orbits keep what compares labels only with each other and
     with 0, ignoring sibling order; not n2 (a + b < 0 compares absolute
-    values across signs), so they miscount n2, inv-b and nmaj."""
+    values across signs), so they miscount n2 and what contains it: inv-b,
+    inv-d, nmaj and dmaj on forests, and the word statistics n2, len-b,
+    len-d, nmaj and dmaj on the chain's labelings, the signed words."""
     n, kids = forest.n, forest.children
     shape: list[tuple] = [()] * (n + 1)
     twins, automorphisms = [], 1  # twins: positions of neighbouring same-shape siblings

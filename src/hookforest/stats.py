@@ -191,6 +191,13 @@ PERM_STATS = {
     "dmaj": dmaj,
 }
 
+# the PERM_STATS ids constant on each sign-order pattern (the relative
+# order of the letters and 0): they compare letters only with each other
+# and with 0, so the weighted labeling orbits of a chain count them as
+# the signed words do.  n2 compares absolute values across signs, so
+# orbits miscount it and len-b, len-d, nmaj and dmaj, which contain it.
+PATTERN_STATS = frozenset({"inv", "maj", "n1", "p", "fmaj", "maj-r", "maj-b", "rmaj"})
+
 # the per-vertex terms of hookforest.chaindp as per-labeling functions;
 # the differential tests check the chain DP against them
 TERM_STATS = {

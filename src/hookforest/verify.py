@@ -6,9 +6,14 @@ an independently built closed form and reports the outcome as a
 ``CheckReport``.  Forest-statistic distributions come from the
 ancestor-chain dynamic program in ``chaindp``, and the partition series
 of ``lem-partition-gf`` from a P-partition dynamic program; the other
-left-hand sides enumerate labelings, words or partitions.  Nothing
-here samples: the identities are exact, so the comparisons are
-coefficientwise polynomial equality.
+left-hand sides enumerate labelings, words or partitions.  A signed
+word is a labeling of the chain, so a size row whose statistics all
+read only sign-order patterns (``stats.PATTERN_STATS``) is tallied on
+the chain's weighted labeling orbits; orbits miscount n2 and the word
+statistics that contain it (len-b, len-d, nmaj, dmaj), so the rows
+``len-b`` and ``len-d`` visit every word.  Nothing here samples: the
+identities are exact, so the comparisons are coefficientwise
+polynomial equality.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
@@ -99,18 +105,19 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
             forest, stats.FOREST_TERMS[stat_id], mode,
             stats.FOREST_TERMS[aux_id] if aux_id else None)
     pair = (partial(stat_fn, forest), partial(aux_fn, forest) if aux_fn else None)
-    (dist,) = _distributions(enumerate_labelings(forest, mode), [pair])
+    (dist,) = _distributions(zip(enumerate_labelings(forest, mode), repeat(1)), [pair])
     return dist
 
 
 def _distributions(objects, pairs) -> list[BiPoly]:
-    """Sum of t^aux(x) q^stat(x) over the objects x, one polynomial per
-    (stat, aux) function pair (aux None means t^0), in one pass."""
+    """Sum of weight * t^aux(x) q^stat(x) over the weighted objects
+    (x, weight), one polynomial per (stat, aux) function pair (aux None
+    means t^0), in one pass."""
     tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for x in objects:
+    for x, weight in objects:
         for tally, (stat_fn, aux_fn) in zip(tallies, pairs):
             key = (aux_fn(x) if aux_fn else 0, stat_fn(x))
-            tally[key] = tally.get(key, 0) + 1
+            tally[key] = tally.get(key, 0) + weight
     return [BiPoly(tally) for tally in tallies]
 
 
@@ -142,7 +149,7 @@ class Theorem:
 
 
 def _linext_pair(forest: Forest, w, degree: int) -> tuple[BiPoly, BiPoly]:
-    (lhs,) = _distributions(linear_extensions(forest, w), [(stats.maj_b, None)])
+    (lhs,) = _distributions(zip(linear_extensions(forest, w), repeat(1)), [(stats.maj_b, None)])
     return lhs, formulas.rhs_linext(forest, w)
 
 
@@ -212,7 +219,15 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
     if row.scope == "size":
         perm = stats.PERM_STATS
         label = f"n={forest.n}"
-        sides = _distributions(enumerate_words(forest.n, row.mode), [
+        # a signed word is a labeling of the chain, whose orbits are its
+        # sign-order patterns: they cover the words of statistics that read
+        # only patterns, and the word pass stays the oracle of the others
+        read = {s for side in row.lhs for s in side if s}
+        if row.mode == "signed" and read <= stats.PATTERN_STATS:
+            words = labeling_orbits(chain_forest(forest.n))
+        else:
+            words = zip(enumerate_words(forest.n, row.mode), repeat(1))
+        sides = _distributions(words, [
             (perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
     else:
         label = forest.render()
@@ -360,7 +375,8 @@ def enumerate_partitions(forest: Forest, w, max_total: int) -> Iterator[tuple[in
 
 def partition_lhs_series(forest: Forest, w, degree: int) -> Series:
     """Weight generating series of the type-B partitions, truncated."""
-    (counts,) = _distributions(enumerate_partitions(forest, w, degree), [(sum, None)])
+    (counts,) = _distributions(zip(enumerate_partitions(forest, w, degree), repeat(1)),
+                               [(sum, None)])
     return Series(counts, degree)
 
 

@@ -146,10 +146,10 @@ def test_criterion_08_partition_machinery():
 def test_criterion_09_bijections():
     with _Timer() as t:
         ok = True
-        for n in range(7):
+        for n in range(8):
             ok = ok and verify.check_psi(n).passed
         ok = ok and all(report.passed for report in verify.sweep("mirror", 6))
-    _report("9 (value-reversal bijection n<=6; label mirror on every unordered "
+    _report("9 (value-reversal bijection n<=7; label mirror on every unordered "
             "forest n<=6)", ok, t.elapsed)
 
 

@@ -36,8 +36,8 @@ def test_psi_check_reports():
 
 
 @pytest.mark.slow
-def test_psi_check_reports_n7():
-    report = verify.check_psi(7)
+def test_psi_check_reports_n8():
+    report = verify.check_psi(8)
     assert report.passed, report.summary()
 
 

@@ -106,9 +106,16 @@ def test_per_labeling_checks_go_through_the_orbit_scan():
 
 
 def test_only_the_size_rows_oracle_visits_every_word():
-    # the size rows' word pass is their brute-force oracle; psi, whose
-    # words are labelings of the chain, goes through the orbit scan
+    # the word pass is the brute-force oracle of the size rows that read
+    # n2 (len-b and len-d); psi's tests and the sides of eq-reiner read
+    # sign-order patterns alone, so they go through the chain's orbits
     assert _verify_users("enumerate_words") == {"check_theorem"}
+
+
+def test_only_pattern_checks_and_pattern_rows_read_labeling_orbits():
+    # the orbit scan serves the per-labeling checks, and check_theorem
+    # tallies the size rows whose statistics are in stats.PATTERN_STATS
+    assert _verify_users("labeling_orbits") == {"_orbit_scan", "check_theorem"}
 
 
 def test_chaindp_caches_only_the_gap_code_maps():

@@ -1,11 +1,12 @@
+import collections
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hookforest import stats
-from hookforest.forest import (chain_forest, enumerate_forests,
-                               enumerate_labelings, enumerate_words, parse_forest)
+from hookforest.forest import (chain_forest, enumerate_forests, enumerate_labelings,
+                               enumerate_words, labeling_orbits, parse_forest)
 
 # word-level expected values: each verified against the bare definitions
 PERM_CASES = [
@@ -33,6 +34,35 @@ def test_permutation_statistics(stat, sigma, expected):
 def test_empty_word():
     for fn in stats.PERM_STATS.values():
         assert fn(()) == 0
+
+
+def test_pattern_stats_are_the_ids_the_chain_orbits_count():
+    # a signed word is a labeling of the chain, whose weighted orbits are
+    # its sign-order patterns; an id is in the set exactly when the orbits
+    # count its values as the words do
+    def orbit_counts(fn, n):
+        counts = collections.Counter()
+        for sigma, weight in labeling_orbits(chain_forest(n)):
+            counts[fn(sigma)] += weight
+        return counts
+
+    def pattern(sigma):
+        # each letter's rank among the letters, and the number of negatives
+        order = sorted(sigma)
+        return tuple(map(order.index, sigma)), stats.n1(sigma)
+
+    for stat, fn in stats.PERM_STATS.items():
+        counted = all(collections.Counter(map(fn, enumerate_words(n, "signed")))
+                      == orbit_counts(fn, n) for n in range(6))
+        assert (stat in stats.PATTERN_STATS) == counted, stat
+        if counted:
+            # equal counts could hide a statistic that merely counts alike
+            # (maj of the absolute values does): the value is the pattern's
+            for n in range(6):
+                values = {}
+                for sigma in enumerate_words(n, "signed"):
+                    assert values.setdefault(pattern(sigma), fn(sigma)) == fn(sigma), stat
+    assert stats.PATTERN_STATS == {"inv", "maj", "n1", "p", "fmaj", "maj-r", "maj-b", "rmaj"}
 
 
 CHAIN2 = chain_forest(2)

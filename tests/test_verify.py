@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import os
 import pathlib
@@ -270,6 +271,50 @@ def test_reiner_and_length_checks():
         assert verify.check_theorem(carrier, "eq-reiner").passed
         assert verify.check_theorem(carrier, "len-b").passed
         assert verify.check_theorem(carrier, "len-d").passed
+
+
+def test_reiner_sides_on_orbits_equal_the_word_pass(monkeypatch):
+    # the sides check_theorem tallies on the chain's orbits, against the
+    # word pass over every signed word
+    tallied = []
+    real = verify._distributions
+
+    def recorded(objects, pairs):
+        tallied.append(real(objects, pairs))
+        return tallied[-1]
+
+    monkeypatch.setattr(verify, "_distributions", recorded)
+    pairs = [(stats.PERM_STATS[stat], stats.PERM_STATS[aux])
+             for stat, aux in verify.THEOREMS["eq-reiner"].lhs]
+    for n in range(7):
+        tallied.clear()
+        assert verify.check_theorem(chain_forest(n), "eq-reiner").passed
+        words = zip(enumerate_words(n, "signed"), itertools.repeat(1))
+        assert tallied == [real(words, pairs)], n
+
+
+def test_only_rows_reading_n2_visit_every_word(monkeypatch):
+    read = [0]
+    real = verify.enumerate_words
+
+    def counted(n, mode="signed"):
+        for word in real(n, mode):
+            read[0] += 1
+            yield word
+
+    monkeypatch.setattr(verify, "enumerate_words", counted)
+    for theorem, words in (("eq-reiner", 0), ("len-b", 3840), ("len-d", 1920)):
+        read[0] = 0
+        assert verify.check_theorem(chain_forest(5), theorem).passed
+        assert read[0] == words, theorem
+
+
+def test_reiner_fails_a_pattern_invariant_maj_r_mutant(monkeypatch):
+    # maj reads sign-order patterns alone, so the row still runs on orbits
+    monkeypatch.setitem(stats.PERM_STATS, "maj-r", stats.maj)
+    report = verify.check_theorem(chain_forest(3), "eq-reiner")
+    assert not report.passed
+    assert report.witness.startswith("(n1, maj-r) side: coefficient"), report.witness
 
 
 def test_even_odd_cancellation():
