@@ -63,6 +63,8 @@ ARGVS = (
         "--format", "records"]]
     + [["sweep", "--max-n", "6", "--theorem", t, "--format", "records"]
        for t in ("eq-reiner", "psi")]
+    + [["check", "--forest", "(()())", "--theorem", "psi", "--format", "records"],
+       ["check", "--forest", "((()))()", "--theorem", "eq-coset-fmaj", "--format", "records"]]
 )
 
 
