@@ -11,9 +11,10 @@ word is a labeling of the chain, so a size row whose statistics all
 read only sign-order patterns (``stats.PATTERN_STATS``) is tallied on
 the chain's weighted labeling orbits; orbits miscount n2 and the word
 statistics that contain it (len-b, len-d, nmaj, dmaj), so the rows
-``len-b`` and ``len-d`` visit every word.  Nothing here samples: the
-identities are exact, so the comparisons are coefficientwise
-polynomial equality.
+``len-b`` and ``len-d`` visit every word.  psi, the label mirror and
+the coset splitting of fmaj are rows with a per-labeling fault.
+Nothing here samples: the identities are exact, so the comparisons are
+coefficientwise polynomial equality.
 """
 
 from __future__ import annotations
@@ -137,8 +138,10 @@ class Theorem:
     over the labelings or words of ``mode`` must equal the closed form,
     or a function: (forest, labeling, degree) -> (lhs, rhs) for the
     labeled scope, forest -> CheckReport otherwise; a labeled row is
-    evaluated once per labeling orbit, through _orbit_scan.
-    A sweep checks sizes ``start`` and up.
+    evaluated once per labeling orbit, through _orbit_scan.  ``fault``
+    is None or (forest, w) -> the witness of what labeling w breaks,
+    or None; it goes through _orbit_scan on the forest (the chain for
+    a size row) before any side.  A sweep checks sizes ``start`` and up.
     """
 
     scope: str
@@ -146,6 +149,7 @@ class Theorem:
     lhs: Union[tuple[tuple[str, Optional[str]], ...], Callable]
     mode: str = "signed"
     start: int = 0
+    fault: Optional[Callable] = None
 
 
 def _linext_pair(forest: Forest, w, degree: int) -> tuple[BiPoly, BiPoly]:
@@ -175,9 +179,11 @@ THEOREMS = {
     "len-b": Theorem("size", "rhs_inv_b", (("len-b", None),)),
     "len-d": Theorem("size", "rhs_inv_d", (("len-d", None),), mode="even-signed"),
     "eq-even-odd": Theorem("forest", None, lambda forest: check_even_odd(forest), start=1),
-    "eq-coset-fmaj": Theorem("forest", None, lambda forest: check_fmaj_coset_identity(forest)),
-    "psi": Theorem("size", None, lambda forest: check_psi(forest.n)),
-    "mirror": Theorem("forest", None, lambda forest: check_mirror(forest)),
+    "eq-coset-fmaj": Theorem("forest", None, (), fault=lambda forest, u: _coset_fault(forest, u)),
+    "psi": Theorem("size", "rhs_bivariate_majb", (("maj-r", "n1"), ("maj-b", "p")),
+                   fault=lambda chain, sigma: _psi_fault(chain, sigma)),
+    "mirror": Theorem("forest", "rhs_inv_b", (("rmaj", None), ("fmaj", None)),
+                      fault=lambda forest, w: _mirror_fault(forest, w)),
 }
 
 
@@ -208,7 +214,9 @@ def closed_form(theorem_id: str, forest: Forest) -> BiPoly:
 def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckReport:
     """Verify one identity on the given forest (size-level ids use forest.n).
 
-    ``degree`` is the truncation level for the series-based checks.
+    ``degree`` is the truncation level for the series-based checks.  A
+    row's fault comes before its sides; a row without sides passes when
+    its fault does.
     """
     row = _theorem(theorem_id)
     _check_at_least("degree", degree, 0)
@@ -216,21 +224,28 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
         return _check_labeled(theorem_id, row, forest, degree)
     if callable(row.lhs):
         return row.lhs(forest)
-    if row.scope == "size":
+    size = row.scope == "size"
+    target = chain_forest(forest.n) if size else forest
+    label = f"n={forest.n}" if size else forest.render()
+    if row.fault is not None:
+        w, found = _orbit_scan(target, partial(row.fault, target), lambda found: found)
+        if w is not None:
+            return CheckReport(theorem_id, label, None, None, False, found)
+    if not row.lhs:
+        return CheckReport(theorem_id, label, None, None, True)
+    if size:
         perm = stats.PERM_STATS
-        label = f"n={forest.n}"
         # a signed word is a labeling of the chain, whose orbits are its
         # sign-order patterns: they cover the words of statistics that read
         # only patterns, and the word pass stays the oracle of the others
         read = {s for side in row.lhs for s in side if s}
         if row.mode == "signed" and read <= stats.PATTERN_STATS:
-            words = labeling_orbits(chain_forest(forest.n))
+            words = labeling_orbits(target)
         else:
             words = zip(enumerate_words(forest.n, row.mode), repeat(1))
         sides = _distributions(words, [
             (perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
     else:
-        label = forest.render()
         sides = (distribution(forest, stat, row.mode, aux=aux) for stat, aux in row.lhs)
     return _check_sides(theorem_id, row, label, closed_form(theorem_id, forest), sides)
 
@@ -255,8 +270,8 @@ def _orbit_scan(forest: Forest, value: Callable,
     when fault(value) is None on all, else (w, fault(value(w))) for the
     first failing labeling w in lexicographic order.  Whether the fault is
     None, and a passing orbit's value, must be constant on orbits; a
-    witness may name what is w's own, as the coset check names w's
-    factors."""
+    witness may name what is w's own, as a row's fault names w.  A row's
+    fault is the value itself, so a passing scan of it keeps nothing."""
     values = []
     for w, weight in labeling_orbits(forest):
         x = value(w)
@@ -513,24 +528,15 @@ def psi_bijection(sigma: Sequence[int]) -> tuple[int, ...]:
     return tuple(tau)
 
 
-def _psi_fault(sigma) -> Optional[str]:
-    """What psi breaks on the signed word sigma, or None."""
+def _psi_fault(chain: Forest, sigma) -> Optional[str]:
+    """What psi breaks on the signed word sigma, a labeling of the chain,
+    or None: it must be an involution carrying (p, maj-b) to (n1, maj-r)."""
     tau = psi_bijection(sigma)
     if psi_bijection(tau) != sigma:
-        return "psi is not an involution"
+        return f"sigma={sigma}: psi is not an involution"
     if stats.maj_b(sigma) != stats.maj_r(tau) or stats.p(sigma) != stats.n1(tau):
-        return "statistics not carried over"
+        return f"sigma={sigma}: statistics not carried over"
     return None
-
-
-def check_psi(n: int) -> CheckReport:
-    """psi is an involution, hence bijective, and carries (p, maj-b) to
-    (n1, maj-r), tested on one signed word, a labeling of the chain, per
-    sign-order pattern; both joint distributions match (1+tq)^n [n]!."""
-    sigma, fault = _orbit_scan(chain_forest(n), _psi_fault, lambda fault: fault)
-    if sigma is not None:
-        return CheckReport("psi", f"n={n}", None, None, False, f"sigma={sigma}: {fault}")
-    return replace(check_theorem(chain_forest(n), "eq-reiner"), theorem="psi")
 
 
 def mirror_labeling(forest: Forest, w) -> tuple[int, ...]:
@@ -540,29 +546,20 @@ def mirror_labeling(forest: Forest, w) -> tuple[int, ...]:
 
 
 def _mirror_fault(forest: Forest, w) -> Optional[str]:
-    """What the mirror of w breaks, or None."""
+    """What the mirror of w breaks, or None: it must be an involution
+    carrying rmaj to fmaj, maj-b to maj' + p and positives to negatives."""
     w2 = mirror_labeling(forest, w)
     if mirror_labeling(forest, w2) != w:
-        return "mirror is not an involution"
+        return f"labeling {w}: mirror is not an involution"
     r, fm = stats.FOREST_STATS["rmaj-f"](forest, w), stats.FOREST_STATS["fmaj-f"](forest, w2)
     if r != fm:
-        return f"rmaj {r} != fmaj {fm} of the mirror"
+        return f"labeling {w}: rmaj {r} != fmaj {fm} of the mirror"
     p = stats.p_forest(forest, w)
     if stats.maj_b_forest(forest, w) != stats.maj_forest(forest, w2) + p:
-        return "maj-b does not split as maj' + p"
+        return f"labeling {w}: maj-b does not split as maj' + p"
     if p != stats.n1_forest(forest, w2):
-        return "positives do not mirror to negatives"
+        return f"labeling {w}: positives do not mirror to negatives"
     return None
-
-
-def check_mirror(forest: Forest) -> CheckReport:
-    """The mirror is an involution carrying rmaj to fmaj, maj-b to maj' + p
-    and positives to negatives.  It maps sign-order patterns to patterns."""
-    w, fault = _orbit_scan(forest, partial(_mirror_fault, forest), lambda fault: fault)
-    if w is not None:
-        return CheckReport("mirror", forest.render(), None, None, False, f"labeling {w}: {fault}")
-    return CheckReport("mirror", forest.render(), distribution(forest, "rmaj"),
-                       distribution(forest, "fmaj"), True)
 
 
 def _coset_factors(u) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -575,29 +572,18 @@ def _coset_factors(u) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _coset_fault(forest: Forest, u) -> Optional[str]:
-    """What the factorization of u breaks, or None."""
+    """What the one factorization u = tau o w breaks, or None: fmaj of u
+    must split as 2*maj of its ordinary part w plus the negatives of its
+    increasing part tau."""
     tau, w = _coset_factors(u)
     if stats.descents_forest(forest, u) != stats.descents_forest(forest, w):
-        return "descent set changed"
+        return f"w={w}, tau={tau}: descent set changed"
     negatives = stats.n1(tau)
     if stats.n1_forest(forest, u) != negatives:
-        return "negative count changed"
+        return f"w={w}, tau={tau}: negative count changed"
     if stats.FOREST_STATS["fmaj-f"](forest, u) != 2 * stats.maj_forest(forest, w) + negatives:
-        return "fmaj does not split"
+        return f"w={w}, tau={tau}: fmaj does not split"
     return None
-
-
-def check_fmaj_coset_identity(forest: Forest) -> CheckReport:
-    """fmaj of each signed labeling u = tau o w splits as 2*maj of its
-    ordinary part w plus the negatives of its increasing part tau.  The
-    tests read only comparisons and signs, so they go through the orbit
-    scan; the factorization is unique, so the labelings are covered."""
-    u, fault = _orbit_scan(forest, partial(_coset_fault, forest), lambda fault: fault)
-    if u is not None:
-        tau, w = _coset_factors(u)
-        return CheckReport("eq-coset-fmaj", forest.render(), None, None, False,
-                           f"w={w}, tau={tau}: {fault}")
-    return CheckReport("eq-coset-fmaj", forest.render(), None, None, True)
 
 
 # ---------------------------------------------------------------------------

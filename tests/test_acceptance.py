@@ -147,7 +147,7 @@ def test_criterion_09_bijections():
     with _Timer() as t:
         ok = True
         for n in range(8):
-            ok = ok and verify.check_psi(n).passed
+            ok = ok and verify.check_theorem(chain_forest(n), "psi").passed
         ok = ok and all(report.passed for report in verify.sweep("mirror", 6))
     _report("9 (value-reversal bijection n<=7; label mirror on every unordered "
             "forest n<=6)", ok, t.elapsed)
@@ -158,7 +158,7 @@ def test_criterion_10_coset_identity():
         ok = True
         for n in range(6):
             for forest in enumerate_forests(n):
-                ok = ok and verify.check_fmaj_coset_identity(forest).passed
+                ok = ok and verify.check_theorem(forest, "eq-coset-fmaj").passed
     _report("10 (fmaj coset splitting identity, every forest n<=5)", ok, t.elapsed)
 
 

@@ -31,20 +31,20 @@ def test_psi_carries_the_statistics():
 
 def test_psi_check_reports():
     for n in range(5):
-        report = verify.check_psi(n)
+        report = verify.check_theorem(chain_forest(n), "psi")
         assert report.passed, report.summary()
 
 
 @pytest.mark.slow
 def test_psi_check_reports_n8():
-    report = verify.check_psi(8)
+    report = verify.check_theorem(chain_forest(8), "psi")
     assert report.passed, report.summary()
 
 
 def test_psi_failure_names_the_failing_side(monkeypatch):
-    # check_psi reuses the eq-reiner check, witness prefix included
+    # psi shares the sides of the eq-reiner check, witness prefix included
     monkeypatch.setattr(verify.formulas, "rhs_bivariate_majb", lambda forest: BiPoly.one())
-    report = verify.check_psi(2)
+    report = verify.check_theorem(chain_forest(2), "psi")
     assert report.theorem == "psi" and not report.passed
     assert report.witness.startswith("(n1, maj-r) side: coefficient")
 
@@ -52,7 +52,7 @@ def test_psi_failure_names_the_failing_side(monkeypatch):
 def test_psi_witness(monkeypatch):
     # the identity keeps p = 0 on (-1,), where n1 = 1
     monkeypatch.setattr(verify, "psi_bijection", lambda sigma: tuple(sigma))
-    report = verify.check_psi(1)
+    report = verify.check_theorem(chain_forest(1), "psi")
     assert not report.passed
     assert report.witness == "sigma=(-1,): statistics not carried over"
 
@@ -61,14 +61,16 @@ def test_psi_witness_names_a_word_psi_does_not_send_back(monkeypatch):
     # dropping the signs maps (-1,) to (1,) and (1,) to itself, so it is
     # neither an involution nor a bijection
     monkeypatch.setattr(verify, "psi_bijection", lambda sigma: tuple(abs(v) for v in sigma))
-    report = verify.check_psi(1)
+    report = verify.check_theorem(chain_forest(1), "psi")
     assert not report.passed
     assert report.witness == "sigma=(-1,): psi is not an involution"
 
 
 def test_passing_pattern_checks_keep_no_orbit_values():
     # a fault predicate's passing value is None, so the scan keeps nothing
-    assert verify._orbit_scan(chain_forest(3), verify._psi_fault, lambda f: f) == (None, [])
+    chain = chain_forest(3)
+    assert verify._orbit_scan(chain, partial(verify._psi_fault, chain),
+                              lambda f: f) == (None, [])
     forest = parse_forest("(()())")
     assert verify._orbit_scan(forest, partial(verify._mirror_fault, forest),
                               lambda f: f) == (None, [])
@@ -126,7 +128,7 @@ def test_mirror_check_reports():
     rmaj, fmaj = stats.FOREST_STATS["rmaj-f"], stats.FOREST_STATS["fmaj-f"]
     for n in range(5):
         for forest in enumerate_forests(n):
-            report = verify.check_mirror(forest)
+            report = verify.check_theorem(forest, "mirror")
             assert report.passed, report.summary()
             # the rmaj and fmaj distributions, against brute-force tallies
             assert report.lhs == verify.distribution(forest, rmaj, "signed")
@@ -138,7 +140,7 @@ def test_mirror_witness(monkeypatch):
     # the identity is an involution, but rmaj and fmaj differ on the
     # first labeling of the chain
     monkeypatch.setattr(verify, "mirror_labeling", lambda forest, w: tuple(w))
-    report = verify.check_mirror(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "mirror")
     assert not report.passed
     assert report.witness == "labeling (-2, -1): rmaj 2 != fmaj 4 of the mirror"
 
@@ -146,7 +148,7 @@ def test_mirror_witness(monkeypatch):
 def test_mirror_witness_names_a_labeling_the_mirror_does_not_send_back(monkeypatch):
     # dropping the signs sends (-2, -1) to (2, 1), which it keeps
     monkeypatch.setattr(verify, "mirror_labeling", lambda forest, w: tuple(abs(v) for v in w))
-    report = verify.check_mirror(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "mirror")
     assert not report.passed
     assert report.witness == "labeling (-2, -1): mirror is not an involution"
 
@@ -154,7 +156,7 @@ def test_mirror_witness_names_a_labeling_the_mirror_does_not_send_back(monkeypat
 def test_mirror_witness_names_the_maj_b_split(monkeypatch):
     maj = stats.maj_forest
     monkeypatch.setattr(stats, "maj_forest", lambda forest, w: maj(forest, w) + 1)
-    report = verify.check_mirror(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "mirror")
     assert not report.passed
     assert report.witness == "labeling (-2, -1): maj-b does not split as maj' + p"
 
@@ -162,6 +164,6 @@ def test_mirror_witness_names_the_maj_b_split(monkeypatch):
 def test_mirror_witness_names_the_sign_count(monkeypatch):
     n1 = stats.n1_forest
     monkeypatch.setattr(stats, "n1_forest", lambda forest, w: n1(forest, w) + 1)
-    report = verify.check_mirror(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "mirror")
     assert not report.passed
     assert report.witness == "labeling (-2, -1): positives do not mirror to negatives"

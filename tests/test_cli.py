@@ -189,9 +189,14 @@ def test_bijections(capsys):
 
 def test_bijections_check_mirror_once_per_unordered_class(capsys, monkeypatch):
     calls = []
-    check = verify.check_mirror
-    monkeypatch.setattr(verify, "check_mirror",
-                        lambda forest: calls.append(forest) or check(forest))
+    check = verify.check_theorem
+
+    def counted(forest, theorem_id, **kwargs):
+        if theorem_id == "mirror":
+            calls.append(forest)
+        return check(forest, theorem_id, **kwargs)
+
+    monkeypatch.setattr(verify, "check_theorem", counted)
     code, out, _ = run(capsys, "bijections", "--max-n", "4")
     assert code == 0
     assert out.count("PASS mirror") == 23
@@ -202,16 +207,18 @@ def test_bijections_recheck_each_forest_of_a_failed_class(capsys, monkeypatch):
     # a witness that reads the planar order tells the members of a class apart
     bad = canonical_form("(())()")
     calls = []
-    check = verify.check_mirror
+    check = verify.check_theorem
 
-    def fail_on_bad(forest):
+    def fail_on_bad(forest, theorem_id, **kwargs):
+        if theorem_id != "mirror":
+            return check(forest, theorem_id, **kwargs)
         calls.append(forest.render())
         if canonical_form(forest.render()) != bad:
-            return check(forest)
+            return check(forest, theorem_id, **kwargs)
         return verify.CheckReport("mirror", forest.render(), None, None, False,
                                   f"hooks {hook_lengths(forest)[1:]}")
 
-    monkeypatch.setattr(verify, "check_mirror", fail_on_bad)
+    monkeypatch.setattr(verify, "check_theorem", fail_on_bad)
     code, out, _ = run(capsys, "bijections", "--max-n", "3", "--format", "records")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
@@ -241,10 +248,15 @@ def test_bijections_run_one_sweep_per_row(capsys, monkeypatch):
 
 
 def test_bijection_rows_in_rhs_and_check(capsys):
-    assert run(capsys, "rhs", "--forest", "()", "--theorem", "psi") == (
-        2, "", "error: 'psi' has no closed form\n")
-    code, out, _ = run(capsys, "check", "--forest", "(()())", "--theorem", "mirror")
-    assert code == 0 and out.startswith("PASS mirror forest='(()())'")
+    # rhs prints the closed form that check shows on its rhs line
+    for theorem, forest in (("psi", "()"), ("mirror", "(()())")):
+        code, out, _ = run(capsys, "check", "--forest", forest, "--theorem", theorem)
+        assert code == 0 and out.startswith(f"PASS {theorem} forest=")
+        rhs_line = out.splitlines()[-1]
+        assert run(capsys, "rhs", "--forest", forest, "--theorem", theorem) == (
+            0, rhs_line.removeprefix("  rhs: ") + "\n", "")
+    assert run(capsys, "rhs", "--forest", "()", "--theorem", "eq-coset-fmaj") == (
+        2, "", "error: 'eq-coset-fmaj' has no closed form\n")
 
 
 def test_counterexample_none(capsys):

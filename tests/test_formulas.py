@@ -187,8 +187,14 @@ def test_registry_contents():
     labeling_free = {t: row.rhs for t, row in verify.THEOREMS.items() if row.rhs}
     assert set(labeling_free) == {
         "thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
-        "thm-bivariate-inv", "thm-bivariate-majB", "eq-reiner", "len-b", "len-d"}
+        "thm-bivariate-inv", "thm-bivariate-majB", "eq-reiner", "len-b", "len-d",
+        "psi", "mirror"}
     assert all(callable(getattr(formulas, name)) for name in labeling_free.values())
+    assert {t for t, row in verify.THEOREMS.items() if row.fault} == {
+        "eq-coset-fmaj", "psi", "mirror"}
+    # eq-even-odd alone builds its own report
+    assert {t for t, row in verify.THEOREMS.items()
+            if row.scope != "labeled" and callable(row.lhs)} == {"eq-even-odd"}
     # the per-labeling closed form of thm-le1 is rhs_linext
     star, w = parse_forest("(()())"), (2, -3, 1)
     assert verify.THEOREMS["thm-le1"].lhs(star, w, 0)[1] == formulas.rhs_linext(star, w)

@@ -118,6 +118,12 @@ def test_only_pattern_checks_and_pattern_rows_read_labeling_orbits():
     assert _verify_users("labeling_orbits") == {"_orbit_scan", "check_theorem"}
 
 
+def test_row_faults_and_labeled_rows_share_the_orbit_scan():
+    # check_theorem scans a row's fault, _check_labeled a labeled row's
+    # sides; no check keeps a scan of its own
+    assert _verify_users("_orbit_scan") == {"check_theorem", "_check_labeled"}
+
+
 def test_chaindp_caches_only_the_gap_code_maps():
     # nothing is cached between calls but the code maps of _takes, which
     # depend on n alone: a cache keyed on a forest or a state would turn

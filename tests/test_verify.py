@@ -104,8 +104,10 @@ def test_distribution_theorems_small(theorem):
             assert verify.check_theorem(forest, theorem).passed
 
 
+# the rows with a closed form whose left-hand sides are distributions
+# alone; the bijection rows also test a fault on every labeling orbit
 DIST_THEOREMS = [t for t, row in verify.THEOREMS.items()
-                 if row.scope == "forest" and row.rhs]
+                 if row.scope == "forest" and row.rhs and row.fault is None]
 
 
 @pytest.mark.slow
@@ -191,7 +193,7 @@ def test_labeled_witness_is_rescanned_past_orbit_representatives(monkeypatch):
 
 
 def test_mirror_tests_are_constant_on_labeling_orbits():
-    # check_mirror's four tests read these values alone
+    # _mirror_fault's four tests read these values alone
     fs = stats.FOREST_STATS
 
     def values(forest, w):
@@ -210,7 +212,7 @@ def test_mirror_tests_are_constant_on_labeling_orbits():
 
 
 def test_psi_tests_are_constant_on_labeling_orbits():
-    # check_psi's two tests read these values alone, and a signed word is
+    # _psi_fault's two tests read these values alone, and a signed word is
     # a labeling of the chain
     def values(sigma):
         tau = verify.psi_bijection(sigma)
@@ -234,7 +236,7 @@ def test_mirror_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     assert (1, -2) not in {w for w, _ in labeling_orbits(forest)}
     fmaj = stats.FOREST_STATS["fmaj-f"]
     monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda f, w: fmaj(f, w) + (w[0] < 0))
-    report = verify.check_mirror(forest)
+    report = verify.check_theorem(forest, "mirror")
     assert not report.passed
     assert report.witness == "labeling (1, -2): rmaj 1 != fmaj 2 of the mirror"
 
@@ -329,7 +331,7 @@ def test_even_odd_cancellation():
 def test_coset_identity_small():
     for n in range(4):
         for forest in enumerate_forests(n):
-            assert verify.check_fmaj_coset_identity(forest).passed
+            assert verify.check_theorem(forest, "eq-coset-fmaj").passed
 
 
 def test_coset_witness(monkeypatch):
@@ -340,7 +342,7 @@ def test_coset_witness(monkeypatch):
         return tau, tuple(tau.index(v) + 1 for v in u)
 
     monkeypatch.setattr(verify, "_coset_factors", decreasing)
-    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "eq-coset-fmaj")
     assert not report.passed
     assert report.witness == "w=(2, 1), tau=(-1, -2): descent set changed"
 
@@ -348,7 +350,7 @@ def test_coset_witness(monkeypatch):
 def test_coset_witness_names_the_negative_count(monkeypatch):
     n1 = stats.n1_forest
     monkeypatch.setattr(stats, "n1_forest", lambda forest, w: n1(forest, w) + 1)
-    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "eq-coset-fmaj")
     assert not report.passed
     assert report.witness == "w=(1, 2), tau=(-2, -1): negative count changed"
 
@@ -356,13 +358,13 @@ def test_coset_witness_names_the_negative_count(monkeypatch):
 def test_coset_witness_names_the_fmaj_split(monkeypatch):
     fmaj = stats.FOREST_STATS["fmaj-f"]
     monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda forest, w: fmaj(forest, w) + 1)
-    report = verify.check_fmaj_coset_identity(chain_forest(2))
+    report = verify.check_theorem(chain_forest(2), "eq-coset-fmaj")
     assert not report.passed
     assert report.witness == "w=(1, 2), tau=(-2, -1): fmaj does not split"
 
 
 def test_coset_tests_are_constant_on_labeling_orbits():
-    # check_fmaj_coset_identity's three tests read these values alone
+    # _coset_fault's three tests read these values alone
     def values(forest, u):
         tau, w = verify._coset_factors(u)
         return (stats.descents_forest(forest, u) == stats.descents_forest(forest, w),
@@ -386,9 +388,20 @@ def test_coset_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     assert (1, -2) not in {w for w, _ in labeling_orbits(forest)}
     fmaj = stats.FOREST_STATS["fmaj-f"]
     monkeypatch.setitem(stats.FOREST_STATS, "fmaj-f", lambda f, w: fmaj(f, w) + (w[0] > 0))
-    report = verify.check_fmaj_coset_identity(forest)
+    report = verify.check_theorem(forest, "eq-coset-fmaj")
     assert not report.passed
     assert report.witness == "w=(2, 1), tau=(-2, 1): fmaj does not split"
+
+
+@pytest.mark.parametrize("theorem", [t for t, row in verify.THEOREMS.items() if row.fault])
+def test_row_faults_pass_on_every_labeling(theorem):
+    # on every labeling, not only on the orbit representatives the checks
+    # scan; a size row's labelings are those of the chain
+    row = verify.THEOREMS[theorem]
+    for n in range(5):
+        for forest in [chain_forest(n)] if row.scope == "size" else enumerate_forests(n):
+            for w in enumerate_labelings(forest, row.mode):
+                assert row.fault(forest, w) is None, (theorem, forest.render(), w)
 
 
 @pytest.mark.slow
@@ -636,12 +649,13 @@ def _oracle(forest, stat, mode, aux):
 
 def _oracles(forest, mode, pairs):
     """Brute-force distributions of several (stat, aux) pairs, sharing
-    one pass over the labelings and one call per statistic."""
+    one pass over the labelings and one call per statistic; a repeated
+    pair is tallied once."""
     names = {name for pair in pairs for name in pair if name}
     terms = {pair: {} for pair in pairs}
     for w in enumerate_labelings(forest, mode):
         value = {name: stats.FOREST_STATS[name](forest, w) for name in names}
-        for stat, aux in pairs:
+        for stat, aux in terms:
             key = (value[aux] if aux else 0, value[stat])
             terms[stat, aux][key] = terms[stat, aux].get(key, 0) + 1
     return {pair: BiPoly(t) for pair, t in terms.items()}
