@@ -65,6 +65,8 @@ ARGVS = (
        for t in ("eq-reiner", "psi")]
     + [["check", "--forest", "(()())", "--theorem", "psi", "--format", "records"],
        ["check", "--forest", "((()))()", "--theorem", "eq-coset-fmaj", "--format", "records"]]
+    + [["partitions", "--forest", f, f"--labeling={w}", "--degree", "10", "--format", "records"]
+       for f, w in (("()()()()", "2,-3,1,-4"), ("(()())()", "3,-1,2,-4"))]
 )
 
 
