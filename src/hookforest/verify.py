@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
+from operator import itemgetter, sub
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import chaindp, formulas, stats
@@ -115,10 +116,11 @@ def _distributions(objects, pairs) -> list[BiPoly]:
     (x, weight), one polynomial per (stat, aux) function pair (aux None
     means t^0), in one pass."""
     tallies: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
+    bound = [(tally, tally.get, *pair) for tally, pair in zip(tallies, pairs)]
     for x, weight in objects:
-        for tally, (stat_fn, aux_fn) in zip(tallies, pairs):
+        for tally, get, stat_fn, aux_fn in bound:
             key = (aux_fn(x) if aux_fn else 0, stat_fn(x))
-            tally[key] = tally.get(key, 0) + weight
+            tally[key] = get(key, 0) + weight
     return [BiPoly(tally) for tally in tallies]
 
 
@@ -325,11 +327,8 @@ def is_partition_b(forest: Forest, w, f: Sequence[int]) -> bool:
     >= 1 at positively labeled roots; the parent pairs imply every
     comparable pair, and the roots bound every value below.
     """
-    for v in range(1, forest.n + 1):
-        p = forest.parent[v]
-        if p and f[v - 1] < f[p - 1] + (w[p - 1] < w[v - 1]):
-            return False
-        if not p and f[v - 1] < (w[v - 1] > 0):
+    for i, p in enumerate(forest.parent[1:]):
+        if f[i] < (f[p - 1] + (w[p - 1] < w[i]) if p else w[i] > 0):
             return False
     return True
 
@@ -441,15 +440,15 @@ def _partition_series(forest: Forest, w, degree: int) -> Series:
 
 
 def _shift_by(forest: Forest, w) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The shift of (F, w) as the map f -> f - d, where d[v] counts the
-    type-B descents among v and its ancestors, built in one preorder pass."""
+    """The shift of (F, w) as f -> tuple(map(sub, f, d)), where d[v] counts
+    the type-B descents among v and its ancestors, built in one preorder pass."""
     descents = set(stats.descents_b_forest(forest, w))
     parent = forest.parent
     d = [0] * (forest.n + 1)
     for v in range(1, forest.n + 1):
         d[v] = d[parent[v]] + (v in descents)
     drop = d[1:]
-    return lambda f: tuple(x - y for x, y in zip(f, drop))
+    return lambda f: tuple(map(sub, f, drop))
 
 
 def check_partition_shift(forest: Forest, w, degree: int) -> CheckReport:
@@ -484,7 +483,9 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     The maps compatible with an extension word s are the type-B
     partitions of the chain labeled by s read backwards; each map
     generated for s must be one of them, be a member and have no other
-    extension, and every member must have one.
+    extension, and every member must have one.  The owned maps are one
+    set, tested once against the listed members; only when some member
+    is missing are they re-scanned in lexicographic order for the first.
     """
     chain = chain_forest(forest.n)
     label = forest.render()
@@ -496,8 +497,11 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     for s in linear_extensions(forest, w):
         backwards = s[::-1]
         position = {value: i for i, value in enumerate(backwards)}
+        index = [position[value] for value in w]
+        remap = (itemgetter(*index) if len(index) > 1  # one index: a bare item
+                 else lambda g: tuple(map(g.__getitem__, index)))
         for g in enumerate_partitions(chain, backwards, degree):
-            f = tuple(g[position[value]] for value in w)
+            f = remap(g)
             if not is_partition_b(chain, backwards, g):
                 return fail(f, f"generated for {s} but not compatible with it")
             if not is_partition_b(forest, w, f):
@@ -505,9 +509,9 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
             if f in owned:
                 return fail(f, "2 compatible extensions")
             owned.add(f)
-    for f in enumerate_partitions(forest, w, degree):
-        if f not in owned:
-            return fail(f, "0 compatible extensions")
+    if not owned.issuperset(enumerate_partitions(forest, w, degree)):
+        f = next(f for f in enumerate_partitions(forest, w, degree) if f not in owned)
+        return fail(f, "0 compatible extensions")
     return CheckReport("dec1", label, None, None, True)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hookforest import formulas, stats, verify
 from hookforest.forest import (canonical_form, chain_forest, comparable_pairs,
                                enumerate_forests, enumerate_labelings, hook_lengths,
-                               labeling_orbits, parse_forest)
+                               labeling_orbits, linear_extensions, parse_forest)
 from hookforest.qpoly import BiPoly, Series, geometric_series, q_number
 
 DOT = parse_forest("()")
@@ -300,6 +300,26 @@ def test_dec1_witness_for_a_missing_extension(monkeypatch):
     assert report.witness == "labeling (1, -2), map (1, 1): 0 compatible extensions"
 
 
+@pytest.mark.parametrize("drop", [-1, 2], ids=["last", "middle"])
+def test_dec1_witness_for_a_later_missing_extension(monkeypatch, drop):
+    # the witness is the lexicographically first member that no kept
+    # extension word owns, found here from the members alone
+    forest, w = parse_forest("()()()"), (1, -2, 3)
+    words = list(linear_extensions(forest, w))
+    kept = words[:drop % len(words)] + words[drop % len(words) + 1:]
+    monkeypatch.setattr(verify, "linear_extensions", lambda forest, w: kept)
+
+    def owned(f, s):
+        along = tuple(f[w.index(value)] for value in s)
+        return verify.is_partition_b(chain_forest(3), s[::-1], along[::-1])
+
+    first = next(f for f in verify.enumerate_partitions(forest, w, 6)
+                 if not any(owned(f, s) for s in kept))
+    report = verify.check_decomposition_dec1(forest, w, 6)
+    assert not report.passed
+    assert report.witness == f"labeling {w}, map {first}: 0 compatible extensions"
+
+
 def test_dec1_witness_for_a_duplicated_extension(monkeypatch):
     exts = verify.linear_extensions
     monkeypatch.setattr(verify, "linear_extensions",
@@ -331,6 +351,25 @@ def test_dec1_witness_for_a_compatible_non_member(monkeypatch):
     report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
     assert not report.passed
     assert report.witness == "labeling (1, -2), map (2, 0): compatible but not a partition"
+
+
+def test_partition_checks_read_orbit_invariants():
+    # dec1 splits the type-B partitions over extension words weighted by
+    # maj-b, and the shift lowers each by the labeling's maj-b: the
+    # partition weights, that maj-b and the words' maj-b values are
+    # constant on labeling orbits, before dec1 and the shift become rows
+    def values(forest, w):
+        weights = Counter(map(sum, verify.enumerate_partitions(forest, w, 6)))
+        return (tuple(sorted(weights.items())), stats.maj_b_forest(forest, w),
+                tuple(sorted(map(stats.maj_b, linear_extensions(forest, w)))))
+
+    for n in range(5):
+        for forest in enumerate_forests(n):
+            every = Counter(values(forest, w) for w in enumerate_labelings(forest, "signed"))
+            weighted = Counter()
+            for w, weight in labeling_orbits(forest):
+                weighted[values(forest, w)] += weight
+            assert every == weighted, forest.render()
 
 
 @pytest.mark.slow
