@@ -485,7 +485,8 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     generated for s must be one of them, be a member and have no other
     extension, and every member must have one.  The owned maps are one
     set, tested once against the listed members; only when some member
-    is missing are they re-scanned in lexicographic order for the first.
+    is missing are the members re-scanned, in lexicographic order, for
+    the first one.
     """
     chain = chain_forest(forest.n)
     label = forest.render()
@@ -496,8 +497,7 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     owned: set[tuple[int, ...]] = set()
     for s in linear_extensions(forest, w):
         backwards = s[::-1]
-        position = {value: i for i, value in enumerate(backwards)}
-        index = [position[value] for value in w]
+        index = [backwards.index(value) for value in w]
         remap = (itemgetter(*index) if len(index) > 1  # one index: a bare item
                  else lambda g: tuple(map(g.__getitem__, index)))
         for g in enumerate_partitions(chain, backwards, degree):

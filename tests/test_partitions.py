@@ -305,8 +305,8 @@ def test_dec1_witness_for_a_later_missing_extension(monkeypatch, drop):
     # the witness is the lexicographically first member that no kept
     # extension word owns, found here from the members alone
     forest, w = parse_forest("()()()"), (1, -2, 3)
-    words = list(linear_extensions(forest, w))
-    kept = words[:drop % len(words)] + words[drop % len(words) + 1:]
+    kept = list(linear_extensions(forest, w))
+    del kept[drop]
     monkeypatch.setattr(verify, "linear_extensions", lambda forest, w: kept)
 
     def owned(f, s):
@@ -355,9 +355,9 @@ def test_dec1_witness_for_a_compatible_non_member(monkeypatch):
 
 def test_partition_checks_read_orbit_invariants():
     # dec1 splits the type-B partitions over extension words weighted by
-    # maj-b, and the shift lowers each by the labeling's maj-b: the
-    # partition weights, that maj-b and the words' maj-b values are
-    # constant on labeling orbits, before dec1 and the shift become rows
+    # maj-b, and the shift lowers each by the labeling's maj-b; these
+    # values are constant on labeling orbits, so both checks may run
+    # once per orbit
     def values(forest, w):
         weights = Counter(map(sum, verify.enumerate_partitions(forest, w, 6)))
         return (tuple(sorted(weights.items())), stats.maj_b_forest(forest, w),
