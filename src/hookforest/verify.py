@@ -439,39 +439,38 @@ def _partition_series(forest: Forest, w, degree: int) -> Series:
     return Series(_decode(value, k, degree + 1), degree)
 
 
-def _shift_by(forest: Forest, w) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The shift of (F, w) as f -> tuple(map(sub, f, d)), where d[v] counts
-    the type-B descents among v and its ancestors, built in one preorder pass."""
+def _drop(forest: Forest, w) -> list[int]:
+    """The shift's drop vector d of (F, w): d[v] counts the type-B
+    descents among v and its ancestors, built in one preorder pass."""
     descents = set(stats.descents_b_forest(forest, w))
     parent = forest.parent
     d = [0] * (forest.n + 1)
     for v in range(1, forest.n + 1):
         d[v] = d[parent[v]] + (v in descents)
-    drop = d[1:]
-    return lambda f: tuple(map(sub, f, drop))
+    return d[1:]
 
 
 def check_partition_shift(forest: Forest, w, degree: int) -> CheckReport:
-    """The shift is weight-compatible and bijective onto forest partitions."""
+    """The shift f -> f - d is weight-compatible and bijective onto
+    forest partitions.
+
+    A translation by the drop vector d is injective and lowers every
+    weight by sum(d), so the check tests sum(d) = maj-b once and then
+    compares the image with the plain forest partitions.
+    """
     majb = stats.maj_b_forest(forest, w)
     label = forest.render()
-    shift = _shift_by(forest, w)
-    images: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for f in enumerate_partitions(forest, w, degree):
-        g = shift(f)
-        if sum(f) != majb + sum(g):
-            return CheckReport("partition-shift", label, None, None, False,
-                               f"labeling {w}, map {f}: weight drop is not maj-b")
-        if g in images:
-            return CheckReport("partition-shift", label, None, None, False,
-                               f"labeling {w}: {f} and {images[g]} collide")
-        images[g] = f
+    d = _drop(forest, w)
+    if sum(d) != majb:
+        return CheckReport("partition-shift", label, None, None, False,
+                           f"labeling {w}: weight drop is not maj-b")
+    images = {tuple(map(sub, f, d)) for f in enumerate_partitions(forest, w, degree)}
     # the plain forest partitions are the type-B partitions of the
     # all-negative labeling, which has no descents and no positive roots
     bound = degree - majb
     all_negative = tuple(range(-1, -forest.n - 1, -1))
     target = set(enumerate_partitions(forest, all_negative, bound)) if bound >= 0 else set()
-    if set(images) != target:
+    if images != target:
         return CheckReport("partition-shift", label, None, None, False,
                            f"labeling {w}: image misses some forest partitions")
     return CheckReport("partition-shift", label, None, None, True)
@@ -481,12 +480,13 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
     """The type-B partitions split exactly over the linear extensions.
 
     The maps compatible with an extension word s are the type-B
-    partitions of the chain labeled by s read backwards; each map
-    generated for s must be one of them, be a member and have no other
-    extension, and every member must have one.  The owned maps are one
-    set, tested once against the listed members; only when some member
-    is missing are the members re-scanned, in lexicographic order, for
-    the first one.
+    partitions of the chain labeled by s read backwards, which
+    ``enumerate_partitions`` lists (its tests pin it against the grid);
+    each, read back onto the vertices, must be a member and have no
+    other extension, and every member must have one.  The owned maps
+    are one set, tested once against the listed members; only when some
+    member is missing are the members re-scanned, in lexicographic
+    order, for the first one.
     """
     chain = chain_forest(forest.n)
     label = forest.render()
@@ -500,10 +500,7 @@ def check_decomposition_dec1(forest: Forest, w, degree: int) -> CheckReport:
         index = [backwards.index(value) for value in w]
         remap = (itemgetter(*index) if len(index) > 1  # one index: a bare item
                  else lambda g: tuple(map(g.__getitem__, index)))
-        for g in enumerate_partitions(chain, backwards, degree):
-            f = remap(g)
-            if not is_partition_b(chain, backwards, g):
-                return fail(f, f"generated for {s} but not compatible with it")
+        for f in map(remap, enumerate_partitions(chain, backwards, degree)):
             if not is_partition_b(forest, w, f):
                 return fail(f, "compatible but not a partition")
             if f in owned:

@@ -212,10 +212,11 @@ def test_partition_series_closed_form_small():
 
 
 def test_partition_shift_examples():
-    assert verify._shift_by(DOT, (1,))((1,)) == (0,)
-    assert verify._shift_by(DOT, (-1,))((3,)) == (3,)
-    # chain, root label 1, child label 2: both vertices are type-B descents
-    assert verify._shift_by(CHAIN2, (1, 2))((1, 2)) == (0, 0)
+    assert verify._drop(DOT, (1,)) == [1]
+    assert verify._drop(DOT, (-1,)) == [0]
+    # chain, root label 1, child label 2: both vertices are type-B
+    # descents, and the child also drops with its ancestor
+    assert verify._drop(CHAIN2, (1, 2)) == [1, 2]
 
 
 def test_partition_shift_bijectivity_small():
@@ -237,28 +238,27 @@ def subtree_shift(forest, w, f):
 
 
 def test_partition_shift_matches_the_subtree_loop():
+    # both shifts are translations, so they agree on every map once they
+    # agree on the zero map
     for n in range(5):
         for forest in enumerate_forests(n):
             for w in enumerate_labelings(forest, "signed"):
-                shift = verify._shift_by(forest, w)
-                for f in verify.enumerate_partitions(forest, w, 6):
-                    assert shift(f) == subtree_shift(forest, w, f)
+                assert ([-x for x in subtree_shift(forest, w, [0] * n)]
+                        == verify._drop(forest, w)), (forest, w)
 
 
 def test_shift_witnesses(monkeypatch):
+    # on the chain labeled (1, -2) the root is the one type-B descent,
+    # so maj-b is 2 and the drop is (1, 1)
     cases = [
-        # weight-preserving but not injective
-        (ANTI2, lambda f: tuple(sorted(f)),
-         "labeling (-1, -2): (1, 0) and (0, 1) collide"),
-        # injective and weight-preserving, but leaves the forest partitions
-        (CHAIN2, lambda f: f[::-1],
-         "labeling (-1, -2): image misses some forest partitions"),
-        (DOT, lambda f: (0,),
-         "labeling (-1,), map (1,): weight drop is not maj-b"),
+        # each vertex's own descent without its ancestors'
+        ([1, 0], "labeling (1, -2): weight drop is not maj-b"),
+        # the right sum, all of it at the descent
+        ([2, 0], "labeling (1, -2): image misses some forest partitions"),
     ]
-    for forest, shift, witness in cases:
-        monkeypatch.setattr(verify, "_shift_by", lambda forest, w: shift)
-        report = verify.check_partition_shift(forest, all_negative(forest.n), 2)
+    for drop, witness in cases:
+        monkeypatch.setattr(verify, "_drop", lambda forest, w: drop)
+        report = verify.check_partition_shift(CHAIN2, (1, -2), 4)
         assert not report.passed and report.witness == witness
 
 
@@ -329,19 +329,50 @@ def test_dec1_witness_for_a_duplicated_extension(monkeypatch):
     assert report.witness == "labeling (1, -2), map (1, 1): 2 compatible extensions"
 
 
-def test_dec1_witness_for_a_generated_non_partition(monkeypatch):
+def with_an_extra_chain_map(monkeypatch, extra):
+    """Make enumerate_partitions list one more map on the 2-chain."""
     generate = verify.enumerate_partitions
 
-    def with_an_extra_map(forest, w, max_total):
+    def listed(forest, w, max_total):
         yield from generate(forest, w, max_total)
         if forest == CHAIN2:
-            yield (1, 0)
+            yield extra
 
-    monkeypatch.setattr(verify, "enumerate_partitions", with_an_extra_map)
+    monkeypatch.setattr(verify, "enumerate_partitions", listed)
+
+
+def test_dec1_witness_for_a_generated_non_partition(monkeypatch):
+    # (1, 0) is compatible with neither extension word; read back onto
+    # the vertices it is a member, which the other word also yields
+    with_an_extra_chain_map(monkeypatch, (1, 0))
     report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
     assert not report.passed
-    assert report.witness == ("labeling (1, -2), map (1, 0): "
-                              "generated for (-2, 1) but not compatible with it")
+    assert report.witness == "labeling (1, -2), map (1, 0): 2 compatible extensions"
+
+
+def test_dec1_witness_for_a_generated_non_member(monkeypatch):
+    # (0, 0) reads back as a map that is no member: the root labeled 1
+    # needs a value of at least 1
+    with_an_extra_chain_map(monkeypatch, (0, 0))
+    report = verify.check_decomposition_dec1(ANTI2, (1, -2), 2)
+    assert not report.passed
+    assert report.witness == "labeling (1, -2), map (0, 0): compatible but not a partition"
+
+
+def test_dec1_tests_each_map_once_on_the_forest(monkeypatch):
+    # the chain maps meet the chain's conditions by construction, so
+    # dec1 tests each only as a map on (F, w): one call per member
+    forest, w = parse_forest("()()()()"), (2, -3, 1, -4)
+    member, calls = verify.is_partition_b, []
+
+    def counted(on, labels, f):
+        calls.append((on, labels))
+        return member(on, labels, f)
+
+    monkeypatch.setattr(verify, "is_partition_b", counted)
+    assert verify.check_decomposition_dec1(forest, w, 10).passed
+    assert len(calls) == len(list(verify.enumerate_partitions(forest, w, 10))) == 495
+    assert all(on == forest and labels == w for on, labels in calls)
 
 
 def test_dec1_witness_for_a_compatible_non_member(monkeypatch):
