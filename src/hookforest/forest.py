@@ -247,6 +247,10 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown sign mode {mode!r}; expected one of {MODES}")
 
 
+# enumerate_words lists the words on every set of at most this many values
+_TAIL = 3
+
+
 def enumerate_words(n: int, mode: str = "signed") -> Iterator[tuple[int, ...]]:
     """Words on the absolute values 1..n in lexicographic order.
 
@@ -261,28 +265,46 @@ def enumerate_words(n: int, mode: str = "signed") -> Iterator[tuple[int, ...]]:
         yield from itertools.permutations(range(1, n + 1))
         return
     even = mode == "even-signed"
+    # odd: the parity that the number of negatives among the letters still
+    # to come must have in the even-signed mode; None in the signed mode
+    parities = (0, 1) if even else (None,)
+    # tails[odd][rest]: the words on the values rest in lexicographic order.
+    # At each position the values run -max(rest) < ... < -min(rest) <
+    # min(rest) < ... < max(rest), so the words on k values are each first
+    # letter in that order followed by the words on the k - 1 values left
+    tails = {odd: {(): [] if odd else [()]} for odd in parities}
+    for v in range(1, n + 1):
+        if even:
+            tails[0][v,], tails[1][v,] = [(v,)], [(-v,)]
+        else:
+            tails[None][v,] = [(-v,), (v,)]
+    for k in range(2, min(n, _TAIL) + 1):
+        for rest in itertools.combinations(range(1, n + 1), k):
+            drops = [rest[:i] + rest[i + 1:] for i in range(k)]
+            for odd in parities:
+                after_negative, after_positive = tails[odd ^ 1 if even else None], tails[odd]
+                words: list[tuple[int, ...]] = []
+                for i in reversed(range(k)):
+                    words += map((-rest[i],).__add__, after_negative[drops[i]])
+                for i in range(k):
+                    words += map((rest[i],).__add__, after_positive[drops[i]])
+                tails[odd][rest] = words
+    if n <= _TAIL:
+        yield from tails[parities[0]][tuple(range(1, n + 1))]
+        return
 
-    # rest holds the unused absolute values in increasing order; at each
-    # position the values run -max(rest) < ... < -min(rest) < min(rest) < ...
-    def rec(prefix, rest, negatives):
-        if len(rest) == 1:
-            k = rest[0]
-            if even:
-                # the last sign makes the number of negatives even
-                yield prefix + ((-k if negatives % 2 else k),)
-            else:
-                yield prefix + (-k,)
-                yield prefix + (k,)
+    def blocks(prefix, rest, odd):
+        # the words that start with prefix, as C-level maps over the tails
+        if len(rest) == _TAIL:
+            yield map(prefix.__add__, tails[odd][rest])
             return
+        flip = odd ^ 1 if even else None
         for i in reversed(range(len(rest))):
-            yield from rec(prefix + (-rest[i],), rest[:i] + rest[i + 1:], negatives + 1)
+            yield from blocks(prefix + (-rest[i],), rest[:i] + rest[i + 1:], flip)
         for i in range(len(rest)):
-            yield from rec(prefix + (rest[i],), rest[:i] + rest[i + 1:], negatives)
+            yield from blocks(prefix + (rest[i],), rest[:i] + rest[i + 1:], odd)
 
-    if n == 0:
-        yield ()
-    else:
-        yield from rec((), tuple(range(1, n + 1)), 0)
+    yield from itertools.chain.from_iterable(blocks((), tuple(range(1, n + 1)), parities[0]))
 
 
 def enumerate_labelings(forest: Forest, mode: str = "signed") -> Iterator[tuple[int, ...]]:
@@ -315,11 +337,21 @@ def labeling_orbits(forest: Forest) -> Iterator[tuple[tuple[int, ...], int]]:
             same = [b - 1 for b in kids[v][:i] if shape[b] == shape[c]]
             automorphisms *= len(same) + 1  # a shape's j-th sibling adds a factor j
             twins += [(b, c - 1) for b in same[-1:]]
+
+    def in_plane_order(ranks):
+        for b, c in twins:
+            if ranks[b] > ranks[c]:
+                return False
+        return True
+
     for k in range(n + 1):
-        weight = automorphisms * math.comb(n, k)
-        for ranks in itertools.permutations(range(1, n + 1)):
-            if all(ranks[b] < ranks[c] for b, c in twins):
-                yield tuple(r - n - 1 if r <= k else r - k for r in ranks), weight
+        # rank r labels r - n - 1 up to k and r - k above
+        label = [0, *range(-n, k - n), *range(1, n - k + 1)].__getitem__
+        ranks = itertools.permutations(range(1, n + 1))
+        if twins:
+            ranks = filter(in_plane_order, ranks)
+        yield from zip(map(tuple, map(map, itertools.repeat(label), ranks)),
+                       itertools.repeat(automorphisms * math.comb(n, k)))
 
 
 def labeling_count(n: int, mode: str) -> int:

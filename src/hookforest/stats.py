@@ -1,9 +1,16 @@
 """Statistics on signed permutations and on signed labeled forests.
 
 Permutation-level functions accept any word of distinct nonzero
-integers; they never assume the absolute values are contiguous.
-Forest-level functions take ``(forest, values)`` with the label vector
-in vertex-index order.
+integers; they never assume the absolute values are contiguous, except
+maj_r, whose key 2n + 1 + v puts a negative v after every positive
+letter only when |v| <= n.  Forest-level functions take
+``(forest, values)`` with the label vector in vertex-index order.
+
+These are the brute-force oracle.  Each statistic is one loop that
+reads as its definition, over a C-level iterator of the letters, the
+positions, ``itertools.combinations`` of the letters or the forest's
+``comparable_pairs``, with no generator frame per call; the tests keep
+the index loops and generator expressions they replaced as references.
 
 The registries at the bottom map the kebab-case statistic ids shared
 with the CLI to the implementations.
@@ -11,6 +18,7 @@ with the CLI to the implementations.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from .forest import Forest, comparable_pairs, hook_lengths
@@ -25,18 +33,19 @@ Word = Sequence[int]
 def inv(sigma: Word) -> int:
     """Pairs i < j with sigma_i > sigma_j, natural integer order."""
     total = 0
-    n = len(sigma)
-    for i in range(n):
-        si = sigma[i]
-        for j in range(i + 1, n):
-            if si > sigma[j]:
-                total += 1
+    for a, b in combinations(sigma, 2):
+        if a > b:
+            total += 1
     return total
 
 
 def descent_set(sigma: Word) -> tuple[int, ...]:
     """Positions i in [1, n-1] with sigma_i > sigma_{i+1} (no sentinel)."""
-    return tuple(i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i])
+    found = []
+    for i in range(1, len(sigma)):
+        if sigma[i - 1] > sigma[i]:
+            found.append(i)
+    return tuple(found)
 
 
 def maj(sigma: Word) -> int:
@@ -45,18 +54,19 @@ def maj(sigma: Word) -> int:
 
 def n1(sigma: Word) -> int:
     """Number of negative entries."""
-    return sum(1 for v in sigma if v < 0)
+    total = 0
+    for v in sigma:
+        if v < 0:
+            total += 1
+    return total
 
 
 def n2(sigma: Word) -> int:
     """Unordered pairs of distinct positions whose values sum negative."""
     total = 0
-    n = len(sigma)
-    for i in range(n):
-        si = sigma[i]
-        for j in range(i + 1, n):
-            if si + sigma[j] < 0:
-                total += 1
+    for a, b in combinations(sigma, 2):
+        if a + b < 0:
+            total += 1
     return total
 
 
@@ -86,14 +96,12 @@ def maj_r(sigma: Word) -> int:
     Descents are positions i in [1, n] with the sentinel sigma_{n+1} = n.
     """
     n = len(sigma)
-
-    def key(v: int) -> int:
-        return v if v > 0 else 2 * n + 1 + v
-
+    # the order's key: v for v > 0, 2n + 1 + v for v < 0
+    keys = [v if v > 0 else 2 * n + 1 + v for v in sigma]
+    keys.append(n)
     total = 0
     for i in range(1, n + 1):
-        nxt = key(sigma[i]) if i < n else n
-        if key(sigma[i - 1]) > nxt:
+        if keys[i - 1] > keys[i]:
             total += i
     return total
 
@@ -101,8 +109,11 @@ def maj_r(sigma: Word) -> int:
 def descent_set_b(sigma: Word) -> tuple[int, ...]:
     """Positions i in [1, n] with sigma_i > sigma_{i+1}, sentinel 0."""
     n = len(sigma)
-    return tuple(i for i in range(1, n + 1)
-                 if sigma[i - 1] > (sigma[i] if i < n else 0))
+    found = []
+    for i in range(1, n + 1):
+        if sigma[i - 1] > (sigma[i] if i < n else 0):
+            found.append(i)
+    return tuple(found)
 
 
 def maj_b(sigma: Word) -> int:
@@ -111,7 +122,11 @@ def maj_b(sigma: Word) -> int:
 
 def p(sigma: Word) -> int:
     """Number of positive entries."""
-    return sum(1 for v in sigma if v > 0)
+    total = 0
+    for v in sigma:
+        if v > 0:
+            total += 1
+    return total
 
 
 def rmaj(sigma: Word) -> int:
@@ -130,46 +145,66 @@ def dmaj(sigma: Word) -> int:
 
 def inv_forest(forest: Forest, w: Word) -> int:
     """Ancestor/descendant pairs where the ancestor carries the smaller label."""
-    return sum(1 for a, b in comparable_pairs(forest) if w[a - 1] < w[b - 1])
+    total = 0
+    for a, b in comparable_pairs(forest):
+        if w[a - 1] < w[b - 1]:
+            total += 1
+    return total
 
 
 def descents_forest(forest: Forest, w: Word) -> tuple[int, ...]:
     """Non-root vertices whose label exceeds the parent's label."""
     parent = forest.parent
-    return tuple(v for v in range(1, forest.n + 1)
-                 if parent[v] and w[v - 1] > w[parent[v] - 1])
+    found = []
+    for v in range(1, forest.n + 1):
+        if parent[v] and w[v - 1] > w[parent[v] - 1]:
+            found.append(v)
+    return tuple(found)
 
 
 def maj_forest(forest: Forest, w: Word) -> int:
     """Sum of hook lengths over the descent vertices."""
     h = hook_lengths(forest)
-    return sum(h[v] for v in descents_forest(forest, w))
+    total = 0
+    for v in descents_forest(forest, w):
+        total += h[v]
+    return total
 
 
 def n1_forest(forest: Forest, w: Word) -> int:
-    return sum(1 for v in w if v < 0)
+    return n1(w)
 
 
 def n2_forest(forest: Forest, w: Word) -> int:
     """Comparable pairs whose labels sum negative."""
-    return sum(1 for a, b in comparable_pairs(forest) if w[a - 1] + w[b - 1] < 0)
+    total = 0
+    for a, b in comparable_pairs(forest):
+        if w[a - 1] + w[b - 1] < 0:
+            total += 1
+    return total
 
 
 def descents_b_forest(forest: Forest, w: Word) -> tuple[int, ...]:
     """Descents together with the positively labeled roots: a root's
     parent label counts as 0, the sentinel of maj_b."""
     parent = forest.parent
-    return tuple(v for v in range(1, forest.n + 1)
-                 if w[v - 1] > (w[parent[v] - 1] if parent[v] else 0))
+    found = []
+    for v in range(1, forest.n + 1):
+        if w[v - 1] > (w[parent[v] - 1] if parent[v] else 0):
+            found.append(v)
+    return tuple(found)
 
 
 def maj_b_forest(forest: Forest, w: Word) -> int:
     h = hook_lengths(forest)
-    return sum(h[v] for v in descents_b_forest(forest, w))
+    total = 0
+    for v in descents_b_forest(forest, w):
+        total += h[v]
+    return total
 
 
 def p_forest(forest: Forest, w: Word) -> int:
-    return sum(1 for v in w if v > 0)
+    return p(w)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +274,10 @@ def _from_terms(stat_id: str):
     def stat(forest: Forest, w: Word) -> int:
         if stat_id == EVEN_SIGNED_STAT and n1_forest(forest, w) % 2:
             raise ValueError(f"{name} needs an even number of negative labels")
-        return sum(c * TERM_STATS[t](forest, w) for t, c in terms.items())
+        total = 0
+        for t, c in terms.items():
+            total += c * TERM_STATS[t](forest, w)
+        return total
 
     stat.__name__ = name.replace("-", "_") + "_forest"
     return stat

@@ -281,6 +281,42 @@ def test_words_match_an_itertools_construction(mode):
         assert list(enumerate_words(n, mode)) == expected
 
 
+def recursive_words(n, mode):
+    """Reference: the words of enumerate_words by one recursive generator
+    frame per letter, with the last sign forced in the even-signed mode."""
+    if mode == "ordinary":
+        yield from itertools.permutations(range(1, n + 1))
+        return
+    even = mode == "even-signed"
+
+    # rest holds the unused absolute values in increasing order; at each
+    # position the values run -max(rest) < ... < -min(rest) < min(rest) < ...
+    def rec(prefix, rest, negatives):
+        if len(rest) == 1:
+            k = rest[0]
+            if even:
+                yield prefix + ((-k if negatives % 2 else k),)
+            else:
+                yield prefix + (-k,)
+                yield prefix + (k,)
+            return
+        for i in reversed(range(len(rest))):
+            yield from rec(prefix + (-rest[i],), rest[:i] + rest[i + 1:], negatives + 1)
+        for i in range(len(rest)):
+            yield from rec(prefix + (rest[i],), rest[:i] + rest[i + 1:], negatives)
+
+    if n == 0:
+        yield ()
+    else:
+        yield from rec((), tuple(range(1, n + 1)), 0)
+
+
+@pytest.mark.parametrize("mode", ["ordinary", "signed", "even-signed"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_words_match_the_recursive_reference(n, mode):
+    assert list(enumerate_words(n, mode)) == list(recursive_words(n, mode))
+
+
 def test_labelings_are_the_words_of_the_size():
     # a layer tracer counts the items of generator functions
     assert inspect.isgeneratorfunction(enumerate_labelings)
@@ -337,6 +373,31 @@ def test_labeling_orbits_match_brute_force_automorphisms():
             # len(autos) patterns of C(n, k) labelings each
             for w, weight in labeling_orbits(f):
                 assert weight == len(autos) * math.comb(n, sum(1 for v in w if v < 0))
+
+
+def reference_labeling_orbits(forest):
+    """Reference: labeling_orbits with the twin test and the rank-to-label
+    map as generator expressions, one Python step per rank."""
+    n, kids = forest.n, forest.children
+    shape = [()] * (n + 1)
+    twins, automorphisms = [], 1
+    for v in range(n, -1, -1):
+        shape[v] = tuple(sorted(shape[c] for c in kids[v]))
+        for i, c in enumerate(kids[v]):
+            same = [b - 1 for b in kids[v][:i] if shape[b] == shape[c]]
+            automorphisms *= len(same) + 1
+            twins += [(b, c - 1) for b in same[-1:]]
+    for k in range(n + 1):
+        weight = automorphisms * math.comb(n, k)
+        for ranks in itertools.permutations(range(1, n + 1)):
+            if all(ranks[b] < ranks[c] for b, c in twins):
+                yield tuple(r - n - 1 if r <= k else r - k for r in ranks), weight
+
+
+def test_labeling_orbits_match_the_reference():
+    for n in range(7):
+        for f in enumerate_forests(n):
+            assert list(labeling_orbits(f)) == list(reference_labeling_orbits(f)), f.render()
 
 
 def test_labeling_orbits_stream(monkeypatch):

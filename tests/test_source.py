@@ -124,12 +124,24 @@ def test_row_faults_and_labeled_rows_share_the_orbit_scan():
     assert _verify_users("_orbit_scan") == {"check_theorem", "_check_labeled"}
 
 
+def _cached(module):
+    """Functions and properties of a src/ module under a caching decorator."""
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and {"lru_cache", "cache", "cached_property"} & set(_named(node.decorator_list, False))}
+
+
 def test_chaindp_caches_only_the_gap_code_maps():
     # nothing is cached between calls but the code maps of _takes, which
     # depend on n alone: a cache keyed on a forest or a state would turn
     # repeated inputs into lookups
-    tree = ast.parse((SRC / "chaindp.py").read_text(), filename="chaindp.py")
-    cached = {node.name for node in ast.walk(tree)
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and {"lru_cache", "cache", "cached_property"} & set(_named(node.decorator_list, False))}
-    assert cached == {"_takes"}
+    assert _cached("chaindp.py") == {"_takes"}
+
+
+def test_the_brute_force_oracle_caches_only_forest_shapes():
+    # the oracle's statistics and enumerators recompute every word and
+    # labeling on each call; forest caches only what a forest's shape
+    # fixes: its hooks, its comparable pairs and its children
+    assert _cached("stats.py") == set()
+    assert _cached("forest.py") == {"hook_lengths", "comparable_pairs", "children"}

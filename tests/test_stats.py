@@ -5,8 +5,170 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hookforest import stats
-from hookforest.forest import (chain_forest, enumerate_forests, enumerate_labelings,
-                               enumerate_words, labeling_orbits, parse_forest)
+from hookforest.forest import (chain_forest, comparable_pairs, enumerate_forests,
+                               enumerate_labelings, enumerate_words, hook_lengths,
+                               labeling_orbits, parse_forest)
+
+
+# ---------------------------------------------------------------------------
+# references: the statistics as index loops and generator expressions, one
+# Python step per pair of positions or per letter; the library's versions
+# must agree with them on every word and labeling
+
+
+def reference_inv(sigma):
+    total = 0
+    n = len(sigma)
+    for i in range(n):
+        si = sigma[i]
+        for j in range(i + 1, n):
+            if si > sigma[j]:
+                total += 1
+    return total
+
+
+def reference_n2(sigma):
+    total = 0
+    n = len(sigma)
+    for i in range(n):
+        si = sigma[i]
+        for j in range(i + 1, n):
+            if si + sigma[j] < 0:
+                total += 1
+    return total
+
+
+def reference_n1(sigma):
+    return sum(1 for v in sigma if v < 0)
+
+
+def reference_p(sigma):
+    return sum(1 for v in sigma if v > 0)
+
+
+def reference_descent_set(sigma):
+    return tuple(i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i])
+
+
+def reference_descent_set_b(sigma):
+    n = len(sigma)
+    return tuple(i for i in range(1, n + 1)
+                 if sigma[i - 1] > (sigma[i] if i < n else 0))
+
+
+def reference_maj_r(sigma):
+    n = len(sigma)
+
+    def key(v):
+        return v if v > 0 else 2 * n + 1 + v
+
+    total = 0
+    for i in range(1, n + 1):
+        nxt = key(sigma[i]) if i < n else n
+        if key(sigma[i - 1]) > nxt:
+            total += i
+    return total
+
+
+def _reference_maj(s):
+    return sum(reference_descent_set(s))
+
+
+def _reference_maj_b(s):
+    return sum(reference_descent_set_b(s))
+
+
+REFERENCE_PERM_STATS = {
+    "inv": reference_inv,
+    "maj": _reference_maj,
+    "n1": reference_n1,
+    "n2": reference_n2,
+    "len-b": lambda s: reference_inv(s) + reference_n1(s) + reference_n2(s),
+    "len-d": lambda s: reference_inv(s) + reference_n2(s),
+    "fmaj": lambda s: 2 * _reference_maj(s) + reference_n1(s),
+    "nmaj": lambda s: _reference_maj(s) + reference_n1(s) + reference_n2(s),
+    "maj-r": reference_maj_r,
+    "maj-b": _reference_maj_b,
+    "p": reference_p,
+    "rmaj": lambda s: 2 * _reference_maj_b(s) - reference_p(s),
+    "dmaj": lambda s: _reference_maj(s) + reference_n2(s),
+}
+
+
+def reference_descents_forest(forest, w):
+    parent = forest.parent
+    return tuple(v for v in range(1, forest.n + 1)
+                 if parent[v] and w[v - 1] > w[parent[v] - 1])
+
+
+def reference_descents_b_forest(forest, w):
+    parent = forest.parent
+    return tuple(v for v in range(1, forest.n + 1)
+                 if w[v - 1] > (w[parent[v] - 1] if parent[v] else 0))
+
+
+REFERENCE_TERM_STATS = {
+    "inv": lambda f, w: sum(1 for a, b in comparable_pairs(f) if w[a - 1] < w[b - 1]),
+    "n2": lambda f, w: sum(1 for a, b in comparable_pairs(f) if w[a - 1] + w[b - 1] < 0),
+    "n1": lambda f, w: sum(1 for v in w if v < 0),
+    "p": lambda f, w: sum(1 for v in w if v > 0),
+    "maj": lambda f, w: sum(hook_lengths(f)[v] for v in reference_descents_forest(f, w)),
+    "maj-b": lambda f, w: sum(hook_lengths(f)[v] for v in reference_descents_b_forest(f, w)),
+}
+
+
+def test_word_statistics_match_the_references():
+    # the ordinary and even-signed words are signed words, so the values
+    # on the signed words cover all three modes
+    assert set(REFERENCE_PERM_STATS) == set(stats.PERM_STATS)
+    pairs = [(fn, REFERENCE_PERM_STATS[stat]) for stat, fn in stats.PERM_STATS.items()]
+    pairs += [(stats.descent_set, reference_descent_set),
+              (stats.descent_set_b, reference_descent_set_b)]
+    for n in range(7):
+        words = list(enumerate_words(n, "signed"))
+        for fn, reference in pairs:
+            assert list(map(fn, words)) == list(map(reference, words)), (fn.__name__, n)
+
+
+def test_forest_terms_match_the_references():
+    assert set(REFERENCE_TERM_STATS) == set(stats.TERM_STATS)
+    pairs = [(fn, REFERENCE_TERM_STATS[term]) for term, fn in stats.TERM_STATS.items()]
+    pairs += [(stats.descents_forest, reference_descents_forest),
+              (stats.descents_b_forest, reference_descents_b_forest)]
+    for n in range(6):
+        for forest in enumerate_forests(n):
+            labelings = list(enumerate_labelings(forest, "signed"))
+            forests = list(itertools.repeat(forest, len(labelings)))
+            for fn, reference in pairs:
+                assert (list(map(fn, forests, labelings))
+                        == list(map(reference, forests, labelings))), (fn.__name__, forest)
+
+
+# words of distinct nonzero integers with gaps in their absolute values,
+# such as (-7, 3, -2, 10): no statistic may assume the values 1..n
+gapped_words = st.lists(st.integers(1, 40), unique=True, max_size=8).flatmap(
+    lambda values: st.permutations(values).flatmap(
+        lambda perm: st.tuples(*[st.sampled_from([v, -v]) for v in perm])))
+
+
+@given(gapped_words)
+def test_word_statistics_on_words_with_gaps(sigma):
+    for stat, fn in stats.PERM_STATS.items():
+        assert fn(sigma) == REFERENCE_PERM_STATS[stat](sigma), stat
+    assert stats.descent_set(sigma) == reference_descent_set(sigma)
+    assert stats.descent_set_b(sigma) == reference_descent_set_b(sigma)
+
+
+def test_word_statistics_example_with_gaps():
+    # by hand: the one inversion is (3, -2); the negative pair sums are
+    # -7 + 3 and -7 - 2, while n1 + n2 = 4 is not -(-7 - 2) as it would be
+    # on 1..n; descents at 2 and, against the sentinel 0, at 4; maj-r keys
+    # (2, 3, 7, 10) against the sentinel 4 descend at 4 only
+    sigma = (-7, 3, -2, 10)
+    values = {stat: fn(sigma) for stat, fn in stats.PERM_STATS.items()}
+    assert values == {"inv": 1, "maj": 2, "n1": 2, "n2": 2, "len-b": 5, "len-d": 3,
+                      "fmaj": 6, "nmaj": 6, "maj-r": 4, "maj-b": 6, "p": 2,
+                      "rmaj": 10, "dmaj": 4}
 
 # word-level expected values: each verified against the bare definitions
 PERM_CASES = [
