@@ -67,6 +67,15 @@ ARGVS = (
        ["check", "--forest", "((()))()", "--theorem", "eq-coset-fmaj", "--format", "records"]]
     + [["partitions", "--forest", f, f"--labeling={w}", "--degree", "10", "--format", "records"]
        for f, w in (("()()()()", "2,-3,1,-4"), ("(()())()", "3,-1,2,-4"))]
+    # the extension quotient and the inv-d closed form on a long chain, an
+    # antichain, a chain ending in two leaves and a broom
+    + [["linext", "--forest", f, f"--labeling={w}", "--format", "records"]
+       for f, w in (("(" * 30 + ")" * 30,
+                     ",".join(str(7 * v % 31 * (-1 if v % 3 == 0 else 1)) for v in range(1, 31))),
+                    ("()()()()", "-2,4,-1,3"),
+                    ("((((()()))))", "3,-1,5,-6,2,4"))]
+    + [["rhs", "--forest", f, "--theorem", "thm-inv-d", "--format", "records"]
+       for f in ("()" * 7, "(" * 12 + ")" * 12, "((((()()()()))))")]
 )
 
 
