@@ -281,7 +281,8 @@ def enumerate_words(n: int, mode: str = "signed") -> Iterator[tuple[int, ...]]:
     for k in range(2, min(n, _TAIL) + 1):
         for rest in itertools.combinations(range(1, n + 1), k):
             drops = [rest[:i] + rest[i + 1:] for i in range(k)]
-            for odd in parities:
+            # the whole 1..n (k == n) is read at parity 0 alone
+            for odd in parities if k < n else parities[:1]:
                 after_negative, after_positive = tails[odd ^ 1 if even else None], tails[odd]
                 words: list[tuple[int, ...]] = []
                 for i in reversed(range(k)):

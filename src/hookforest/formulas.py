@@ -9,11 +9,12 @@ rather than rational arithmetic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from . import stats
 from .forest import Forest, hook_lengths
-from .qpoly import BiPoly, Series, _product, q_factorial
+from .qpoly import BiPoly, Series, _product
 
 
 def extension_count(forest: Forest) -> int:
@@ -48,13 +49,15 @@ def rhs_inv_b(forest: Forest) -> BiPoly:
 def rhs_inv_d(forest: Forest) -> BiPoly:
     """Even-signed distribution of inv-d: (n!/(2 prod h)) * prod (1+q^(h-1))[h].
 
-    Computed as the doubled polynomial divided by 2 with a per-coefficient
-    exactness check (every nonempty forest has a leaf, so a factor 2).
+    Every nonempty forest has a leaf, and a leaf's factor (1 + q^0)[1] is
+    the constant 2, so the halving takes one leaf's factor: the product
+    is e(F) * 2^(leaves - 1) times the factors of the other vertices.
     """
     if forest.n == 0:
         return BiPoly.one()
-    # for a leaf the binomial factor degenerates to the constant 2
-    return _hook_product(forest, lambda h: [(0, h - 1, 2), (0, 1, h)]).div_int(2)
+    leaves = hook_lengths(forest).count(1)
+    return _hook_product(forest, lambda h: [(0, h - 1, 2), (0, 1, h)] if h > 1 else [],
+                         extension_count(forest) << leaves - 1)
 
 
 def rhs_bivariate_inv(forest: Forest) -> BiPoly:
@@ -75,8 +78,12 @@ def rhs_bivariate_majb(forest: Forest) -> BiPoly:
 
 @lru_cache(maxsize=None)
 def _linext_quotient(forest: Forest) -> BiPoly:
-    # [n]! / prod [h_u]; a polynomial with nonnegative integer coefficients
-    return q_factorial(forest.n).div_exact_q(_hook_product(forest, lambda h: [(0, 1, h)], 1))
+    # [n]! / prod [h_u], once the q-numbers both sides share are cancelled
+    # ([1] = 1 drops out); a polynomial with nonnegative integer coefficients
+    left = Counter(range(2, forest.n + 1))
+    left.subtract(h for h in hook_lengths(forest)[1:] if h > 1)
+    return _product(1, [(0, 1, m) for m in left.elements()],
+                    over=[(0, 1, m) for m in (-left).elements()])
 
 
 def rhs_linext(forest: Forest, w) -> BiPoly:

@@ -6,7 +6,9 @@ nothing ever rounds.  ``BiPoly`` is the ring element; ``Series`` is a
 q-truncated view used for the infinite-product identities.  Products of
 runs, the polynomials 1 + x + ... + x^(m-1) in a monomial x = t^a q^b
 that make up the hook-length closed forms, are taken on a packed form:
-one int per polynomial.
+one int per polynomial.  The one quotient among the closed forms,
+[n]! / prod [h_u], is a packed exact division too: one integer division
+of two packed products, so no polynomial is ever divided term by term.
 """
 
 from __future__ import annotations
@@ -79,10 +81,6 @@ class BiPoly:
         return bool(self._terms)
 
     @property
-    def q_degree(self) -> int:
-        return max((b for _, b in self._terms), default=0)
-
-    @property
     def t_degree(self) -> int:
         return max((a for a, _ in self._terms), default=0)
 
@@ -94,6 +92,9 @@ class BiPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes like it
+        if self._terms.keys() <= {(0, 0)}:
+            return hash(self.coeff())
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other):
@@ -146,18 +147,6 @@ class BiPoly:
         return BiPoly(((0, b), -c if value == -1 and a % 2 else c)
                       for (a, b), c in self._terms.items() if value or not a)
 
-    def div_int(self, k: int) -> "BiPoly":
-        """Divide every coefficient by k, exactly."""
-        if not isinstance(k, int):
-            raise TypeError("the divisor must be an int")
-        out = {}
-        for key, c in self._terms.items():
-            quo, rem = divmod(c, k)
-            if rem:
-                raise ValueError(f"coefficient {c} is not divisible by {k}")
-            out[key] = quo
-        return BiPoly._trusted(out)
-
     def shift_q(self, k: int) -> "BiPoly":
         """Multiply by q^k."""
         if not isinstance(k, int):
@@ -165,37 +154,6 @@ class BiPoly:
         if k < 0:
             raise ValueError("shift must be nonnegative")
         return BiPoly._trusted({(a, b + k): c for (a, b), c in self._terms.items()})
-
-    def div_exact_q(self, divisor: "BiPoly") -> "BiPoly":
-        """Long division by a t-free polynomial; the remainder must vanish."""
-        if self.t_degree or divisor.t_degree:
-            raise ValueError("q-division is defined for t-free polynomials")
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return BiPoly.zero()
-        num = [0] * (self.q_degree + 1)
-        for (_, b), c in self._terms.items():
-            num[b] = c
-        den = [0] * (divisor.q_degree + 1)
-        for (_, b), c in divisor._terms.items():
-            den[b] = c
-        lead = den[-1]
-        quot = [0] * (len(num) - len(den) + 1)
-        if len(quot) == 0 and any(num):
-            raise ValueError("nonzero remainder: divisor degree exceeds dividend")
-        for i in range(len(quot) - 1, -1, -1):
-            c = num[i + len(den) - 1]
-            q, rem = divmod(c, lead)
-            if rem:
-                raise ValueError("division is not exact over the integers")
-            quot[i] = q
-            if q:
-                for j, d in enumerate(den):
-                    num[i + j] -= q * d
-        if any(num):
-            raise ValueError("nonzero remainder in polynomial division")
-        return BiPoly._trusted({(0, i): c for i, c in enumerate(quot) if c})
 
     def to_triples(self) -> list[list[int]]:
         """Machine form: [t-exp, q-exp, coeff] triples sorted by exponents."""
@@ -324,11 +282,13 @@ def _decode(value: int, k: int, width: int, t_off: int = 0, q_off: int = 0) -> B
     return BiPoly._trusted(out)
 
 
-def _product(scale: int, runs: list, degree: int | None = None) -> Union[BiPoly, Series]:
+def _product(scale: int, runs: list, degree: int | None = None,
+             over: list = ()) -> Union[BiPoly, Series]:
     """scale times the product of the runs; with a degree, the Series
-    truncated there.  A run (a, b, m) is the sum of (t^a q^b)^j over
-    j < m: [m] is (0, 1, m), 1 + t^a q^b is (a, b, 2) and the truncated
-    1 / (1 - q^h) is (0, h, degree // h + 1).
+    truncated there; with runs ``over`` (and no degree), the exact
+    quotient by their product.  A run (a, b, m) is the sum of
+    (t^a q^b)^j over j < m: [m] is (0, 1, m), 1 + t^a q^b is (a, b, 2)
+    and the truncated 1 / (1 - q^h) is (0, h, degree // h + 1).
 
     No coefficient of the product exceeds scale times every m, and its
     q-degree is the sum of every b * (m - 1), so each run is packed with
@@ -336,18 +296,32 @@ def _product(scale: int, runs: list, degree: int | None = None) -> Union[BiPoly,
     t^a q^b in the slot a * width + b, multiplied as an int and decoded
     once.  A truncated product has t-free runs and one row, cut after
     the slot of the degree at every step.
+
+    The quotient is one integer division of the packed product by the
+    packed divisor, in the same slots.  The divisor's runs have
+    nonnegative coefficients and constant term 1, so no coefficient of
+    an exact quotient exceeds one of the product and the slots hold it;
+    a nonzero remainder raises ValueError.
     """
     k = max((scale * math.prod(m for _, _, m in runs)).bit_length(), 1)
     width = 1 + (sum(b * (m - 1) for _, b, m in runs) if degree is None else degree)
     keep = (1 << k * width) - 1
-    value = scale
-    for a, b, m in runs:
+
+    def packed(a, b, m):
         s = k * (a * width + b)
         # a q-run is a repunit quotient in base 2^s; a t-run is too wide to
         # divide fast, and a (0, 0, m) run is the constant m
-        value *= (((1 << m * s) - 1) // ((1 << s) - 1) if a == 0 < b
-                  else sum(1 << j * s for j in range(m)))
+        return (((1 << m * s) - 1) // ((1 << s) - 1) if a == 0 < b
+                else sum(1 << j * s for j in range(m)))
+
+    value = scale
+    for run in runs:
+        value *= packed(*run)
         if degree is not None:
             value &= keep
+    if over:
+        value, rem = divmod(value, math.prod(packed(*run) for run in over))
+        if rem:
+            raise ValueError("the runs over do not divide the product")
     poly = _decode(value, k, width)
     return poly if degree is None else Series(poly, degree)

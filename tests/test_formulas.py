@@ -1,6 +1,6 @@
 import pytest
 
-from hookforest import formulas, verify
+from hookforest import formulas, stats, verify
 from hookforest.forest import (chain_forest, enumerate_forests,
                                enumerate_labelings, hook_lengths,
                                labeling_count, parse_forest)
@@ -104,6 +104,17 @@ def test_rhs_linext():
     assert formulas.rhs_linext(chain2, (2, -1)) == BiPoly.term(1, q=2)
     anti = parse_forest("()()")
     assert formulas.rhs_linext(anti, (2, -1)) == tq({(0, 1): 1, (0, 2): 1})
+
+
+def test_linext_quotient_cancels_shared_q_numbers():
+    # every [m] of [1100]! cancels against a hook, so [1100]! is never built
+    assert formulas._linext_quotient(chain_forest(1100)) == BiPoly.one()
+    # a chain of 1099 ending in two leaves keeps [2] alone
+    forked = parse_forest("(" * 1099 + "()()" + ")" * 1099)
+    assert forked.n == 1101
+    assert formulas._linext_quotient(forked) == q_number(2)
+    chain, w = chain_forest(1100), tuple(range(1, 1101))
+    assert formulas.rhs_linext(chain, w) == BiPoly.term(1, q=stats.maj_b_forest(chain, w))
 
 
 def test_rhs_partition_gf():
@@ -215,12 +226,18 @@ def _convolved(forest, factor, scale=None):
     return out
 
 
+def _halved(poly):
+    # a nonempty forest's doubled inv-d product has even coefficients alone
+    assert all(c % 2 == 0 for _, c in poly.items()), poly
+    return BiPoly({key: c // 2 for key, c in poly.items()})
+
+
 CONVOLVED = {
     "rhs_bw": lambda f: _convolved(f, _q_number),
     "rhs_inv_b": lambda f: _convolved(f, lambda h: _q_number(2 * h)),
-    "rhs_inv_d": lambda f: _convolved(
+    "rhs_inv_d": lambda f: _halved(_convolved(
         f, lambda h: (BiPoly({(0, 0): 1}) + BiPoly({(0, h - 1): 1})) * _q_number(h)
-    ).div_int(2) if f.n else BiPoly.one(),
+    )) if f.n else BiPoly.one(),
     "rhs_bivariate_inv": lambda f: _convolved(f, lambda h: BiPoly({(0, 0): 1, (1, h): 1})
                                               * _q_number(h)),
     "rhs_bivariate_majb": lambda f: _convolved(f, _q_number)

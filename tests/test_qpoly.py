@@ -31,8 +31,6 @@ def test_external_input_is_validated():
         BiPoly({(0, 0): 0.5})
     with pytest.raises(TypeError):
         q_number(2).shift_q(0.5)
-    with pytest.raises(TypeError):
-        q_number(2).div_int(0.5)
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -91,23 +89,13 @@ def test_eval_t():
         one_tq.eval_t(2)
 
 
-def test_halve_and_div_int():
-    assert (q_number(2) * 2).div_int(2) == q_number(2)
-    with pytest.raises(ValueError):
-        q_number(2).div_int(2)
-    assert (q_number(3) * 6).div_int(3) == q_number(3) * 2
-
-
-def test_div_exact_q():
-    num = q_factorial(4)
-    den = q_number(2) * q_number(2)
-    assert num.div_exact_q(den) * den == num
-    with pytest.raises(ValueError):
-        BiPoly({(0, 0): 1, (0, 2): 1}).div_exact_q(q_number(2))
-    with pytest.raises(ValueError):
-        BiPoly({(1, 1): 1}).div_exact_q(q_number(2))
-    with pytest.raises(ZeroDivisionError):
-        q_number(2).div_exact_q(BiPoly.zero())
+def test_constants_hash_like_their_ints():
+    # a constant polynomial equals its int, so sets and dicts must agree
+    for c in (0, 1, -7):
+        assert hash(BiPoly.term(c)) == hash(c)
+    assert len({BiPoly.one(), 1}) == 1
+    assert BiPoly.one() in {1} and 0 in {BiPoly.zero()}
+    assert len({q_number(2), BiPoly({(0, 1): 1, (0, 0): 1})}) == 1
 
 
 def test_render():
@@ -229,3 +217,12 @@ def test_product_of_runs_matches_bipoly_product(scale, runs, degree):
         assert got == expected
     else:
         assert got == Series(expected, degree)
+
+
+def test_product_over_runs_is_the_exact_quotient():
+    # [4] [3] / [2] = (1 + q^2) [3]
+    assert (_product(1, [(0, 1, 4), (0, 1, 3)], over=[(0, 1, 2)])
+            == BiPoly({(0, 0): 1, (0, 2): 1}) * q_number(3))
+    for runs, over in (([(0, 1, 2)], [(0, 1, 3)]), ([(0, 1, 3)], [(0, 1, 2)])):
+        with pytest.raises(ValueError, match="do not divide"):
+            _product(1, runs, over=over)
