@@ -298,12 +298,16 @@ def _product(scale: int, runs: list, degree: int | None = None,
     the slot of the degree at every step.
 
     The quotient is one integer division of the packed product by the
-    packed divisor, in the same slots.  The divisor's runs have
+    packed t-free divisor, in the same slots.  The divisor's runs have
     nonnegative coefficients and constant term 1, so no coefficient of
-    an exact quotient exceeds one of the product and the slots hold it;
-    a nonzero remainder raises ValueError.
+    an exact quotient with nonnegative coefficients exceeds one of the
+    product and the slots hold it.  Any other divisor raises ValueError:
+    the remainder is nonzero, or the quotient's slots carried into each
+    other and the coefficient sums (the values at q = 1) do not multiply
+    back.
     """
-    k = max((scale * math.prod(m for _, _, m in runs)).bit_length(), 1)
+    top = scale * math.prod(m for _, _, m in runs)
+    k = max(top.bit_length(), 1)
     width = 1 + (sum(b * (m - 1) for _, b, m in runs) if degree is None else degree)
     keep = (1 << k * width) - 1
 
@@ -321,7 +325,7 @@ def _product(scale: int, runs: list, degree: int | None = None,
             value &= keep
     if over:
         value, rem = divmod(value, math.prod(packed(*run) for run in over))
-        if rem:
-            raise ValueError("the runs over do not divide the product")
     poly = _decode(value, k, width)
+    if over and (rem or sum(poly._terms.values()) * math.prod(m for _, _, m in over) != top):
+        raise ValueError("the runs over do not divide the product")
     return poly if degree is None else Series(poly, degree)

@@ -223,6 +223,10 @@ def test_product_over_runs_is_the_exact_quotient():
     # [4] [3] / [2] = (1 + q^2) [3]
     assert (_product(1, [(0, 1, 4), (0, 1, 3)], over=[(0, 1, 2)])
             == BiPoly({(0, 0): 1, (0, 2): 1}) * q_number(3))
-    for runs, over in (([(0, 1, 2)], [(0, 1, 3)]), ([(0, 1, 3)], [(0, 1, 2)])):
+    # [2] by [3] and [3] by [2] leave a remainder; [6] / [2][3] is
+    # 1 - q + q^2, whose packed quotient divides with no remainder but
+    # carries between slots
+    for runs, over in (([(0, 1, 2)], [(0, 1, 3)]), ([(0, 1, 3)], [(0, 1, 2)]),
+                       ([(0, 1, 6)], [(0, 1, 2), (0, 1, 3)])):
         with pytest.raises(ValueError, match="do not divide"):
             _product(1, runs, over=over)
