@@ -282,6 +282,21 @@ def _decode(value: int, k: int, width: int, t_off: int = 0, q_off: int = 0) -> B
     return BiPoly._trusted(out)
 
 
+def _packed(value: int, runs: list, k: int, width: int, keep: int | None = None) -> int:
+    """value times the runs, each packed with k-bit slots in rows of width
+    slots (t^a q^b in the slot a * width + b); with keep, the product is
+    cut to its bits at every step."""
+    for a, b, m in runs:
+        s = k * (a * width + b)
+        # a q-run is a repunit quotient in base 2^s; a t-run is too wide to
+        # divide fast, and a (0, 0, m) run is the constant m
+        value *= (((1 << m * s) - 1) // ((1 << s) - 1) if a == 0 < b
+                  else sum(1 << j * s for j in range(m)))
+        if keep is not None:
+            value &= keep
+    return value
+
+
 def _product(scale: int, runs: list, degree: int | None = None,
              over: list = ()) -> Union[BiPoly, Series]:
     """scale times the product of the runs; with a degree, the Series
@@ -309,22 +324,9 @@ def _product(scale: int, runs: list, degree: int | None = None,
     top = scale * math.prod(m for _, _, m in runs)
     k = max(top.bit_length(), 1)
     width = 1 + (sum(b * (m - 1) for _, b, m in runs) if degree is None else degree)
-    keep = (1 << k * width) - 1
-
-    def packed(a, b, m):
-        s = k * (a * width + b)
-        # a q-run is a repunit quotient in base 2^s; a t-run is too wide to
-        # divide fast, and a (0, 0, m) run is the constant m
-        return (((1 << m * s) - 1) // ((1 << s) - 1) if a == 0 < b
-                else sum(1 << j * s for j in range(m)))
-
-    value = scale
-    for run in runs:
-        value *= packed(*run)
-        if degree is not None:
-            value &= keep
+    value = _packed(scale, runs, k, width, None if degree is None else (1 << k * width) - 1)
     if over:
-        value, rem = divmod(value, math.prod(packed(*run) for run in over))
+        value, rem = divmod(value, _packed(1, over, k, width))
     poly = _decode(value, k, width)
     if over and (rem or sum(poly._terms.values()) * math.prod(m for _, _, m in over) != top):
         raise ValueError("the runs over do not divide the product")
