@@ -76,6 +76,13 @@ ARGVS = (
                     ("((((()()))))", "3,-1,5,-6,2,4"))]
     + [["rhs", "--forest", f, "--theorem", "thm-inv-d", "--format", "records"]
        for f in ("()" * 7, "(" * 12 + ")" * 12, "((((()()()()))))")]
+    # the rows with a per-labeling fault at both ends of the degree, and
+    # the partitions command on the empty forest and at degree 0
+    + [["check", "--forest", "(()())", "--theorem", t, "--degree", d, "--format", "records"]
+       for t in ("psi", "mirror", "eq-coset-fmaj") for d in ("0", "10")]
+    + [["partitions", "--forest", "", "--labeling=", "--format", "records"],
+       ["partitions", "--forest", "((()))", "--labeling=-1,3,-2", "--degree", "0",
+        "--format", "records"]]
 )
 
 
