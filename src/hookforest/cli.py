@@ -4,9 +4,9 @@ search.
 
 Exit codes: 0 when every requested check passes (or a query succeeds),
 1 when a verification fails, 2 on usage or parse errors or a forest too
-deep for the recursive linear-extension enumeration (``linext``, and
-``partitions`` through dec1).  All results go to stdout,
-diagnostics to stderr.  ``--format records`` emits JSON built on the
+deep for the recursive linear-extension enumeration (``linext``,
+``partitions``, and ``check`` and ``sweep`` of thm-le1 and dec1).  All
+results go to stdout, diagnostics to stderr.  ``--format records`` emits JSON built on the
 [t-exp, q-exp, coeff] triple encoding of polynomials.
 """
 
@@ -108,7 +108,7 @@ def cmd_partitions(args) -> int:
     verify._check_at_least("degree", args.degree, 0)
     forest = parse_forest_input(args.forest)
     w = validate_labeling(forest, parse_labeling(args.labeling))
-    series, closed = verify._partition_pair(forest, w, args.degree)
+    series, closed = verify.THEOREMS["lem-partition-gf"].lhs(forest, w, args.degree)
     dec = verify.check_decomposition_dec1(forest, w, args.degree)
     passed = series == closed and dec.passed
     if args.format == "records":

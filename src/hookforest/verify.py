@@ -11,8 +11,8 @@ word is a labeling of the chain, so a size row whose statistics all
 read only sign-order patterns (``stats.PATTERN_STATS``) is tallied on
 the chain's weighted labeling orbits; orbits miscount n2 and the word
 statistics that contain it (len-b, len-d, nmaj, dmaj), so the rows
-``len-b`` and ``len-d`` visit every word.  psi, the label mirror and
-the coset splitting of fmaj are rows with a per-labeling fault.
+``len-b`` and ``len-d`` visit every word.  psi, the mirror, the coset
+split of fmaj, dec1 and the shift are rows with a per-labeling fault.
 Nothing here samples: the identities are exact, so the comparisons are
 coefficientwise polynomial equality.
 """
@@ -141,9 +141,9 @@ class Theorem:
     or a function: (forest, labeling, degree) -> (lhs, rhs) for the
     labeled scope, forest -> CheckReport otherwise; a labeled row is
     evaluated once per labeling orbit, through _orbit_scan.  ``fault``
-    is None or (forest, w) -> the witness of what labeling w breaks,
-    or None; it goes through _orbit_scan on the forest (the chain for
-    a size row) before any side.  A sweep checks sizes ``start`` and up.
+    is None or (forest, w, degree) -> the witness of what labeling w
+    breaks, or None; it goes through _orbit_scan on the forest (the chain
+    for a size row) before any side.  A sweep checks sizes ``start`` and up.
     """
 
     scope: str
@@ -181,11 +181,15 @@ THEOREMS = {
     "len-b": Theorem("size", "rhs_inv_b", (("len-b", None),)),
     "len-d": Theorem("size", "rhs_inv_d", (("len-d", None),), mode="even-signed"),
     "eq-even-odd": Theorem("forest", None, lambda forest: check_even_odd(forest), start=1),
-    "eq-coset-fmaj": Theorem("forest", None, (), fault=lambda forest, u: _coset_fault(forest, u)),
+    "eq-coset-fmaj": Theorem("forest", None, (), fault=lambda f, u, _: _coset_fault(f, u)),
     "psi": Theorem("size", "rhs_bivariate_majb", (("maj-r", "n1"), ("maj-b", "p")),
-                   fault=lambda chain, sigma: _psi_fault(chain, sigma)),
+                   fault=lambda chain, sigma, _: _psi_fault(chain, sigma)),
     "mirror": Theorem("forest", "rhs_inv_b", (("rmaj", None), ("fmaj", None)),
-                      fault=lambda forest, w: _mirror_fault(forest, w)),
+                      fault=lambda forest, w, _: _mirror_fault(forest, w)),
+    "dec1": Theorem("forest", None, (), fault=lambda forest, w, degree:
+                    check_decomposition_dec1(forest, w, degree).witness),
+    "partition-shift": Theorem("forest", None, (), fault=lambda forest, w, degree:
+                               check_partition_shift(forest, w, degree).witness),
 }
 
 
@@ -216,9 +220,9 @@ def closed_form(theorem_id: str, forest: Forest) -> BiPoly:
 def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckReport:
     """Verify one identity on the given forest (size-level ids use forest.n).
 
-    ``degree`` is the truncation level for the series-based checks.  A
-    row's fault comes before its sides; a row without sides passes when
-    its fault does.
+    ``degree`` is the weight bound of the series and partition checks.
+    A row's fault comes before its sides; a row without sides passes
+    when its fault does.
     """
     row = _theorem(theorem_id)
     _check_at_least("degree", degree, 0)
@@ -230,7 +234,7 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
     target = chain_forest(forest.n) if size else forest
     label = f"n={forest.n}" if size else forest.render()
     if row.fault is not None:
-        w, found = _orbit_scan(target, partial(row.fault, target), lambda found: found)
+        w, found = _orbit_scan(target, lambda w: row.fault(target, w, degree), lambda x: x)
         if w is not None:
             return CheckReport(theorem_id, label, None, None, False, found)
     if not row.lhs:

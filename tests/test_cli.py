@@ -166,15 +166,19 @@ def test_partitions_negative_degree(capsys):
     assert err == "error: degree must be nonnegative, got -2\n"
 
 
-@pytest.mark.parametrize("argv", [("linext",), ("partitions", "--degree", "0")])
+N_DEEP = 1100
+LABELING_DEEP = "--labeling=" + ",".join(map(str, range(1, N_DEEP + 1)))
+
+
+@pytest.mark.parametrize("argv", [("linext", LABELING_DEEP),
+                                  ("partitions", LABELING_DEEP, "--degree", "0"),
+                                  ("check", "--theorem", "dec1")])
 def test_deep_forest_is_a_usage_error(capsys, argv):
     # the linear-extension generator recurses once per vertex, and
-    # `partitions` reads it for dec1, so neither command can run on a
-    # chain longer than the recursion limit; exit 1 would read as a
-    # failed verification
-    n = 1100
-    code, out, err = run(capsys, *argv, "--forest", "(" * n + ")" * n,
-                         "--labeling=" + ",".join(map(str, range(1, n + 1))))
+    # `partitions` and the dec1 row read it, so none of these commands
+    # can run on a chain longer than the recursion limit; exit 1 would
+    # read as a failed verification
+    code, out, err = run(capsys, *argv, "--forest", "(" * N_DEEP + ")" * N_DEEP)
     assert code == 2 and out == ""
     assert err == f"error: input nests deeper than Python's recursion limit of " \
                   f"{sys.getrecursionlimit()}\n"
@@ -349,7 +353,7 @@ def test_errors_print_their_message_alone(capsys):
         2, "", "error: unknown theorem id 'nope'; known ids: thm-bw, thm-inv-b, "
                "thm-inv-d, thm-fmaj, thm-rmaj, thm-bivariate-inv, thm-bivariate-majB, "
                "thm-le1, lem-partition-gf, eq-reiner, len-b, len-d, eq-even-odd, "
-               "eq-coset-fmaj, psi, mirror\n")
+               "eq-coset-fmaj, psi, mirror, dec1, partition-shift\n")
 
 
 def test_ids_are_checked_before_sizes(capsys):

@@ -51,6 +51,8 @@ def test_rhs_fmaj_and_rmaj_share_the_polynomial():
 @pytest.mark.parametrize("theorem, message", [
     ("eq-even-odd", "'eq-even-odd' has no closed form"),
     ("eq-coset-fmaj", "'eq-coset-fmaj' has no closed form"),
+    ("dec1", "'dec1' has no closed form"),
+    ("partition-shift", "'partition-shift' has no closed form"),
     ("thm-le1", "no labeling-free closed form for 'thm-le1'; "
                 "use the linext or partitions subcommand"),
     ("lem-partition-gf", "no labeling-free closed form for 'lem-partition-gf'; "
@@ -191,7 +193,7 @@ def test_registry_contents():
         "thm-bw", "thm-inv-b", "thm-inv-d", "thm-fmaj", "thm-rmaj",
         "thm-bivariate-inv", "thm-bivariate-majB", "thm-le1",
         "lem-partition-gf", "eq-reiner", "len-b", "len-d",
-        "eq-even-odd", "eq-coset-fmaj", "psi", "mirror"]
+        "eq-even-odd", "eq-coset-fmaj", "psi", "mirror", "dec1", "partition-shift"]
     scope = {t: row.scope for t, row in verify.THEOREMS.items()}
     assert {t for t, s in scope.items() if s == "size"} == {"eq-reiner", "len-b", "len-d", "psi"}
     assert {t for t, s in scope.items() if s == "labeled"} == {"thm-le1", "lem-partition-gf"}
@@ -202,7 +204,7 @@ def test_registry_contents():
         "psi", "mirror"}
     assert all(callable(getattr(formulas, name)) for name in labeling_free.values())
     assert {t for t, row in verify.THEOREMS.items() if row.fault} == {
-        "eq-coset-fmaj", "psi", "mirror"}
+        "eq-coset-fmaj", "psi", "mirror", "dec1", "partition-shift"}
     # eq-even-odd alone builds its own report
     assert {t for t, row in verify.THEOREMS.items()
             if row.scope != "labeled" and callable(row.lhs)} == {"eq-even-odd"}

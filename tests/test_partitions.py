@@ -403,6 +403,43 @@ def test_partition_checks_read_orbit_invariants():
             assert every == weighted, forest.render()
 
 
+# Each patch breaks its check on labelings with a positive first label.
+# On ()() the orbit of (1, -2), represented by (-2, 1), passes, and the
+# failing orbit of (1, 2) sends the row back to (1, -2), the first
+# failing labeling in lexicographic order.
+@pytest.mark.parametrize("theorem, check, name, wrap, witness", [
+    ("dec1", "check_decomposition_dec1", "is_partition_b",
+     lambda member: lambda forest, w, f: not (w[0] > 0 and f == (1, 1)) and member(forest, w, f),
+     "labeling (1, -2), map (1, 1): compatible but not a partition"),
+    ("partition-shift", "check_partition_shift", "_drop",
+     lambda drop: lambda forest, w: [d + (w[0] > 0) for d in drop(forest, w)],
+     "labeling (1, -2): weight drop is not maj-b"),
+], ids=["dec1", "partition-shift"])
+def test_partition_row_witness_is_the_first_of_the_labeling_loop(monkeypatch, theorem, check,
+                                                                  name, wrap, witness):
+    assert (1, -2) not in {w for w, _ in labeling_orbits(ANTI2)}
+    monkeypatch.setattr(verify, name, wrap(getattr(verify, name)))
+    report = verify.check_theorem(ANTI2, theorem)
+    assert not report.passed
+    # the public check's first failure over every labeling, in order
+    loop = next(r.witness for w in enumerate_labelings(ANTI2)
+                if not (r := getattr(verify, check)(ANTI2, w, 10)).passed)
+    assert report.witness == loop == witness
+
+
+def test_sweep_passes_its_degree_to_the_shift(monkeypatch):
+    degrees = []
+    shift = verify.check_partition_shift
+
+    def recorded(forest, w, degree):
+        degrees.append(degree)
+        return shift(forest, w, degree)
+
+    monkeypatch.setattr(verify, "check_partition_shift", recorded)
+    assert all(r.passed for r in verify.sweep("partition-shift", 3, degree=2))
+    assert degrees and set(degrees) == {2}
+
+
 @pytest.mark.slow
 def test_partition_checks_exhaustive_n4():
     assert all(r.passed for r in verify.sweep("lem-partition-gf", 4, degree=10))
@@ -414,15 +451,14 @@ def test_partition_checks_exhaustive_n4():
 
 
 @pytest.mark.slow
-def test_partition_checks_on_labeling_orbits_n5():
+@pytest.mark.parametrize("theorem", ["dec1", "partition-shift"])
+def test_partition_checks_on_labeling_orbits_n5(theorem):
     # dec1 and the shift read labels through comparisons only and ignore
-    # sibling order, so one labeling per orbit of one forest per class
-    classes = {canonical_form(f.render()): f for f in enumerate_forests(5)}
-    for forest in classes.values():
-        for w, _ in labeling_orbits(forest):
-            for check in (verify.check_decomposition_dec1, verify.check_partition_shift):
-                report = check(forest, w, 10)
-                assert report.passed, report.summary()
+    # sibling order, so their rows run on one labeling per orbit of one
+    # forest per class
+    reports = verify.sweep(theorem, 5, jobs=2)
+    assert len(reports) == sum(len(list(enumerate_forests(n))) for n in range(6)) == 65
+    assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
 
 
 def test_forest_partition_product():

@@ -83,6 +83,8 @@ ARGVS = (
     + [["partitions", "--forest", "", "--labeling=", "--format", "records"],
        ["partitions", "--forest", "((()))", "--labeling=-1,3,-2", "--degree", "0",
         "--format", "records"]]
+    + [["sweep", "--max-n", "3", "--degree", "6", "--theorem", t, "--format", "records"]
+       for t in ("dec1", "partition-shift")]
 )
 
 

@@ -401,7 +401,7 @@ def test_row_faults_pass_on_every_labeling(theorem):
     for n in range(5):
         for forest in [chain_forest(n)] if row.scope == "size" else enumerate_forests(n):
             for w in enumerate_labelings(forest, row.mode):
-                assert row.fault(forest, w) is None, (theorem, forest.render(), w)
+                assert row.fault(forest, w, 6) is None, (theorem, forest.render(), w)
 
 
 @pytest.mark.slow
