@@ -5,9 +5,9 @@ search.
 Exit codes: 0 when every requested check passes (or a query succeeds),
 1 when a verification fails, 2 on usage or parse errors or a forest too
 deep for the recursive linear-extension enumeration (``linext``,
-``partitions``, and ``check`` and ``sweep`` of thm-le1 and dec1).  All
-results go to stdout, diagnostics to stderr.  ``--format records`` emits JSON built on the
-[t-exp, q-exp, coeff] triple encoding of polynomials.
+``partitions``, and ``check`` and ``sweep`` of thm-le1 and dec1).
+Results go to stdout, diagnostics to stderr; ``--format records``
+emits JSON built on the [t-exp, q-exp, coeff] triple encoding.
 """
 
 from __future__ import annotations
