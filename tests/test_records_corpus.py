@@ -85,6 +85,12 @@ ARGVS = (
         "--format", "records"]]
     + [["sweep", "--max-n", "3", "--degree", "6", "--theorem", t, "--format", "records"]
        for t in ("dec1", "partition-shift")]
+    # the labeled rows on a forest with 720 labeling orbits, and psi and
+    # eq-reiner on the chain's 5,040 sign-order patterns at n = 6
+    + [["check", "--forest", "((())())()", "--theorem", t, "--degree", "6",
+        "--format", "records"] for t in ("lem-partition-gf", "thm-le1")]
+    + [["check", "--forest", "(((((())))))", "--theorem", t, "--format", "records"]
+       for t in ("psi", "eq-reiner")]
 )
 
 
