@@ -11,8 +11,8 @@ word is a labeling of the chain, so a size row whose statistics all
 read only sign-order patterns (``stats.PATTERN_STATS``) is tallied on
 the chain's weighted labeling orbits; orbits miscount n2 and the word
 statistics that contain it (len-b, len-d, nmaj, dmaj), so the rows
-``len-b`` and ``len-d`` visit every word.  psi, the mirror, the coset
-split of fmaj, dec1 and the shift are rows with a per-labeling fault.
+``len-b`` and ``len-d`` visit every word.  One orbit scan tests the
+faults of psi (tallying its sides), mirror, coset fmaj, dec1 and shift.
 Nothing here samples: the identities are exact, so the comparisons are
 coefficientwise polynomial equality.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
@@ -233,26 +234,28 @@ def check_theorem(forest: Forest, theorem_id: str, degree: int = 10) -> CheckRep
     size = row.scope == "size"
     target = chain_forest(forest.n) if size else forest
     label = f"n={forest.n}" if size else forest.render()
+    failed: list = []
+    scan = _orbit_scan(target, lambda w: w,
+                       lambda w: row.fault and row.fault(target, w, degree), failed)
+    perm = stats.PERM_STATS
+    pairs = [(perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs] if size else []
+    read = {s for side in row.lhs for s in side if s}
+    # a signed word is a labeling of the chain, whose orbits are its
+    # sign-order patterns: they cover the words of statistics that read
+    # only patterns, so one walk tallies them and tests the fault; the
+    # word pass stays the oracle of the others
+    on_orbits = size and row.mode == "signed" and read <= stats.PATTERN_STATS
+    sides = _distributions(scan, pairs) if on_orbits else None
     if row.fault is not None:
-        w, found = _orbit_scan(target, lambda w: row.fault(target, w, degree), lambda x: x)
-        if w is not None:
-            return CheckReport(theorem_id, label, None, None, False, found)
+        deque(scan, maxlen=0)  # drained before any side; a no-op after the tally
+    if failed:
+        return CheckReport(theorem_id, label, None, None, False, failed[0][1])
     if not row.lhs:
         return CheckReport(theorem_id, label, None, None, True)
-    if size:
-        perm = stats.PERM_STATS
-        # a signed word is a labeling of the chain, whose orbits are its
-        # sign-order patterns: they cover the words of statistics that read
-        # only patterns, and the word pass stays the oracle of the others
-        read = {s for side in row.lhs for s in side if s}
-        if row.mode == "signed" and read <= stats.PATTERN_STATS:
-            words = labeling_orbits(target)
-        else:
-            words = zip(enumerate_words(forest.n, row.mode), repeat(1))
-        sides = _distributions(words, [
-            (perm[stat], perm[aux] if aux else None) for stat, aux in row.lhs])
-    else:
-        sides = (distribution(forest, stat, row.mode, aux=aux) for stat, aux in row.lhs)
+    if sides is None:
+        sides = (_distributions(zip(enumerate_words(forest.n, row.mode), repeat(1)), pairs)
+                 if size else (distribution(forest, stat, row.mode, aux=aux)
+                               for stat, aux in row.lhs))
     return _check_sides(theorem_id, row, label, closed_form(theorem_id, forest), sides)
 
 
@@ -269,41 +272,37 @@ def _check_sides(theorem_id: str, row: Theorem, label: str, rhs: BiPoly,
     return CheckReport(theorem_id, label, lhs, rhs, True)
 
 
-def _orbit_scan(forest: Forest, value: Callable,
-                fault: Callable) -> tuple[Optional[tuple], object]:
-    """value(w), with its weight, for the first labeling w of each orbit of
-    labeling_orbits whose value is not None: (None, [(value, weight), ...])
-    when fault(value) is None on all, else (w, fault(value(w))) for the
-    first failing labeling w in lexicographic order.  Whether the fault is
-    None, and a passing orbit's value, must be constant on orbits; a
-    witness may name what is w's own, as a row's fault names w.  A row's
-    fault is the value itself, so a passing scan of it keeps nothing."""
-    values = []
+def _orbit_scan(forest: Forest, value: Callable, fault: Callable,
+                failed: list) -> Iterator[tuple[object, int]]:
+    """(value(w), weight) for the first labeling w of each orbit of
+    labeling_orbits while fault(value(w)) is None; at the first orbit where
+    it is not, (w, fault(value(w))) for the first failing labeling w in
+    lexicographic order goes to ``failed`` and the scan stops.  Whether the
+    fault is None, and a passing orbit's value, must be constant on orbits;
+    a witness may name what is w's own, as a row's fault names w."""
     for w, weight in labeling_orbits(forest):
         x = value(w)
         if fault(x) is not None:
             # w is one of the labelings, so the lexicographic re-scan finds one
-            return next((w, found) for w in enumerate_labelings(forest)
-                        if (found := fault(value(w))) is not None)
-        if x is not None:
-            values.append((x, weight))
-    return None, values
+            failed.append(next((w, found) for w in enumerate_labelings(forest)
+                               if (found := fault(value(w))) is not None))
+            return
+        yield x, weight
 
 
 def _check_labeled(theorem_id: str, row: Theorem, forest: Forest, degree: int) -> CheckReport:
-    """Both sides summed over the labelings through _orbit_scan: the sides
-    of a passing orbit are equal, so one total adds them with its weight."""
-    w, found = _orbit_scan(forest, lambda w: row.lhs(forest, w, degree),
-                           lambda sides: _first_mismatch(*sides))
-    if w is not None:
+    """Both sides summed over the labelings through _orbit_scan: a passing
+    orbit's sides are equal, so a running total adds one times its weight."""
+    failed: list = []
+    total = BiPoly.zero()
+    for (lhs, _), weight in _orbit_scan(forest, lambda w: row.lhs(forest, w, degree),
+                                        lambda sides: _first_mismatch(*sides), failed):
+        total += getattr(lhs, "poly", lhs) * weight
+    if failed:
+        (w, found), = failed
         return CheckReport(theorem_id, forest.render(), *row.lhs(forest, w, degree), False,
                            f"labeling {w}: {found}")
-    total: dict[tuple[int, int], int] = {}
-    for (lhs, _), weight in found:
-        for key, c in (lhs.poly if isinstance(lhs, Series) else lhs).items():
-            total[key] = total.get(key, 0) + c * weight
-    poly = BiPoly._trusted({key: c for key, c in total.items() if c})
-    summed = Series(poly, lhs.degree) if isinstance(lhs, Series) else poly
+    summed = Series(total, lhs.degree) if isinstance(lhs, Series) else total
     return CheckReport(theorem_id, forest.render(), summed, summed, True)
 
 

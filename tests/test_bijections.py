@@ -1,6 +1,7 @@
 """The value-reversing involution on signed words and the label mirror
 on signed labeled forests."""
 
+import math
 from functools import partial
 
 import pytest
@@ -67,13 +68,16 @@ def test_psi_witness_names_a_word_psi_does_not_send_back(monkeypatch):
 
 
 def test_passing_pattern_checks_keep_no_orbit_values():
-    # a fault predicate's passing value is None, so the scan keeps nothing
-    chain = chain_forest(3)
-    assert verify._orbit_scan(chain, partial(verify._psi_fault, chain),
-                              lambda f: f) == (None, [])
-    forest = parse_forest("(()())")
-    assert verify._orbit_scan(forest, partial(verify._mirror_fault, forest),
-                              lambda f: f) == (None, [])
+    # the scan streams one (value, weight) per orbit and keeps none; a
+    # passing psi or mirror scan reports no failure, and its weights count
+    # every signed labeling
+    for forest, fault in ((chain_forest(3), verify._psi_fault),
+                          (parse_forest("(()())"), verify._mirror_fault)):
+        failed = []
+        scan = verify._orbit_scan(forest, lambda w: w, partial(fault, forest), failed)
+        assert iter(scan) is scan
+        assert sum(weight for _, weight in scan) == 2 ** forest.n * math.factorial(forest.n)
+        assert failed == []
 
 
 signed_words = st.integers(0, 8).flatmap(

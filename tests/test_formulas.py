@@ -85,6 +85,25 @@ def test_rhs_bivariate_inv():
             assert biv.eval_t(1) == formulas.rhs_inv_b(f)
 
 
+def test_even_odd_and_inv_d_follow_from_the_bivariate_inv_product():
+    # inv-b = inv + n1 + n2, so the (n1; inv + n2) distribution is the
+    # (n1; inv-b) product with t^a q^b -> t^a q^(b - a), that is
+    # e(F) * prod (1 + t q^(h - 1))[h].  A leaf's factor is 1 + t, so the
+    # product vanishes at t = -1 (eq-even-odd), and its even-t slice is
+    # the inv-d product (thm-inv-d)
+    for n in range(1, 6):
+        for f in enumerate_forests(n):
+            shifted = BiPoly({(a, b - a): c
+                              for (a, b), c in formulas.rhs_bivariate_inv(f).items()})
+            product = BiPoly.term(formulas.extension_count(f))
+            for h in hook_lengths(f)[1:]:
+                product = product * (BiPoly.term(1, t=1, q=h - 1) + 1) * q_number(h)
+            assert shifted == product, f.render()
+            assert shifted.eval_t(-1).is_zero(), f.render()
+            even = BiPoly(((0, b), c) for (a, b), c in shifted.items() if a % 2 == 0)
+            assert even == formulas.rhs_inv_d(f), f.render()
+
+
 def test_rhs_bivariate_majb():
     one_tq = tq({(0, 0): 1, (1, 1): 1})
     assert formulas.rhs_bivariate_majb(parse_forest("()")) == one_tq

@@ -113,9 +113,11 @@ def test_only_the_size_rows_oracle_visits_every_word():
 
 
 def test_only_pattern_checks_and_pattern_rows_read_labeling_orbits():
-    # the orbit scan serves the per-labeling checks, and check_theorem
-    # tallies the size rows whose statistics are in stats.PATTERN_STATS
-    assert _verify_users("labeling_orbits") == {"_orbit_scan", "check_theorem"}
+    # the orbit scan is the one walk of the orbits: it serves the
+    # per-labeling checks, and check_theorem tallies the size rows whose
+    # statistics are in stats.PATTERN_STATS on the same scan, so psi's
+    # fault and its eq-reiner sides share one walk
+    assert _verify_users("labeling_orbits") == {"_orbit_scan"}
 
 
 def test_row_faults_and_labeled_rows_share_the_orbit_scan():

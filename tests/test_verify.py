@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -239,6 +240,48 @@ def test_mirror_witness_is_rescanned_past_orbit_representatives(monkeypatch):
     report = verify.check_theorem(forest, "mirror")
     assert not report.passed
     assert report.witness == "labeling (1, -2): rmaj 1 != fmaj 2 of the mirror"
+
+
+def test_psi_fault_in_the_tally_reports_no_sides(monkeypatch):
+    # psi's fault rides the walk that tallies its sides.  One inversion is
+    # constant on sign-order patterns, and the scan, all-positive words
+    # first, meets it at its second orbit, (1, 3, 2), once the tally has
+    # begun; the lexicographic re-scan goes on to (-3, -1, -2), which
+    # lies in an orbit the scan had not reached.  (On the chain each
+    # orbit's first word is its representative, so the witness is one.)
+    monkeypatch.setattr(verify, "_psi_fault", lambda chain, sigma: (
+        f"sigma={sigma}: one inversion" if stats.inv(sigma) == 1 else None))
+    assert [w for w, _ in itertools.islice(labeling_orbits(chain_forest(3)), 2)] == [
+        (1, 2, 3), (1, 3, 2)]
+    assert verify.check_theorem(chain_forest(3), "psi") == verify.CheckReport(
+        "psi", "n=3", None, None, False, "sigma=(-3, -1, -2): one inversion")
+
+
+def test_pattern_rows_walk_the_orbits_once(monkeypatch):
+    # psi's fault and sides share one walk, eq-reiner's sides take one,
+    # and rows with no fault and no pattern sides take none
+    calls = []
+    orbits = verify.labeling_orbits
+    monkeypatch.setattr(verify, "labeling_orbits", lambda f: calls.append(f) or orbits(f))
+    for theorem, walks in (("psi", 1), ("eq-reiner", 1), ("len-b", 0), ("len-d", 0),
+                           ("thm-inv-b", 0)):
+        calls.clear()
+        assert verify.check_theorem(chain_forest(5), theorem).passed
+        assert len(calls) == walks, theorem
+
+
+def test_labeled_check_keeps_no_value_per_orbit():
+    # ((())())() has a trivial automorphism group, so 720 orbits; the
+    # labeled sides are added into one running total as the scan goes
+    forest = parse_forest("((())())()")
+    verify.check_theorem(forest, "lem-partition-gf")  # warm the caches
+    tracemalloc.start()
+    try:
+        assert verify.check_theorem(forest, "lem-partition-gf").passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def summed(sides, degree):
