@@ -91,6 +91,18 @@ ARGVS = (
         "--format", "records"] for t in ("lem-partition-gf", "thm-le1")]
     + [["check", "--forest", "(((((())))))", "--theorem", t, "--format", "records"]
        for t in ("psi", "eq-reiner")]
+    # the count rows on the 9-vertex chain, a mixed maj + n2 term set, an
+    # ordinary and an even-signed term set, and the count terms on an antichain
+    + [["check", "--forest", "(" * 9 + ")" * 9, "--theorem", t, "--format", "records"]
+       for t in ("thm-inv-b", "thm-inv-d", "thm-bivariate-inv", "eq-even-odd")]
+    + [["dist", "--forest", "(()(()))((()))", "--stat", "nmaj", "--aux", "n1",
+        "--format", "records"],
+       ["dist", "--forest", "(()(()))((()))", "--stat", "inv", "--mode", "ordinary",
+        "--format", "records"],
+       ["dist", "--forest", "(()(()))((()))", "--stat", "dmaj", "--mode", "even-signed",
+        "--aux", "p", "--format", "records"],
+       ["dist", "--forest", "()()()()()()", "--stat", "inv-b", "--aux", "n1",
+        "--format", "records"]]
 )
 
 
