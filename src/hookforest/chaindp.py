@@ -1,5 +1,5 @@
-"""Forest-statistic distributions by a forward dynamic program over the
-ancestor chain.
+"""Forest-statistic distributions by two forward dynamic programs over
+the labelings.
 
 Every forest statistic is a sum over the vertices u of terms that
 depend only on u's label x, the labels of u's ancestors, u's hook h(u)
@@ -12,38 +12,55 @@ and whether u is a root:
 
 ``stats.FOREST_TERMS`` writes each statistic id as an integer
 combination of these terms.  The distribution over all labelings of a
-sign mode is then built by placing labels on the vertices in preorder,
-one vertex per level, carrying for each reachable state the histogram
-of (aux, stat) over the partial labelings that reach it.  Even-signed
-mode is one signed run with the aux (n+1)*aux + n1, read back as the
-slices with even n1.
+sign mode is built one level at a time, carrying for each reachable
+state the histogram of (aux, stat) over the partial labelings that
+reach it.  Even-signed mode is one signed run with the aux
+(n+1)*aux + n1, read back as the slices with even n1.  A term set
+whose stat or aux has an inv or n2 coefficient runs the value walk;
+every other term set runs the chain walk.
 
-Children are visited shortest subtree first (no statistic depends on
-the planar order), so a vertex stops being an attach point before the
-walk enters its deepest subtree.  The state after each vertex is its
-chain:
+The value walk places the absolute values 1, ..., n in increasing
+order, each on an unplaced vertex with either sign.  For two comparable
+labels, a < x, a + x < 0 and "x exceeds its parent" are each decided
+by the sign of the label with the larger absolute value and by whether
+its vertex is the ancestor or the descendant.  So when value i goes to
+u, its terms with the relatives placed before it are fixed, and they
+read only u's sign and which relatives are placed:
+
+  +i   p + inv * (placed ancestors) + maj * h(u) if u's parent is placed
+         + maj-b * h(u) if u is a root
+  -i   n1 + inv * (placed descendants) + n2 * (placed ancestors and
+         descendants) + maj * (h(c) summed over the placed children c)
+
+where maj-b also counts as maj.  Both signs lead to the same state, the
+set of placed vertices as a bitmask, so the walk makes n * 2^(n-1)
+moves whatever the shape, with no labels kept.  On a deep forest that
+is far fewer states than the labels the counts would need; on a bushy
+one every subset of vertices is a state.
+
+The chain walk serves the term sets whose only comparisons are the maj
+terms.  It places labels on the vertices in preorder, one vertex per
+level, with children visited shortest subtree first (no statistic
+depends on the planar order), so a vertex stops being an attach point
+before the walk enters its deepest subtree.  The state after each
+vertex is its chain:
 
 * the chain holds the labels on the path from the root down to the
-  parent of the next vertex, the ancestors of every vertex still to
-  come.  A label is stored only while some later term can read it.
-  An ancestor that is the parent of some later vertex (an attach
-  point) keeps its exact label, since that child's maj term compares
-  against it.  The labels between attach points form runs that only
-  the inv and n2 terms read, and only to count them, so a run is
-  stored sorted.  When neither the stat nor the aux has a maj term, an
-  attach label is sorted into the run above it; when neither has an
-  inv or n2 term, a run is dropped instead: each of its labels becomes
-  the placeholder 0, which keeps every ancestor at its depth, and only
-  the attach points tell states apart.
+  parent of the next vertex.  An ancestor that is the parent of some
+  later vertex (an attach point) keeps its exact label, since that
+  child's maj term compares against it.  Every other ancestor holds
+  the placeholder 0, which keeps each ancestor at its depth, so only
+  the attach points tell states apart; with no maj term every label
+  is the placeholder.
 * Labels are gap codes.  After i vertices the n - i unused values sit
   at codes 2, 4, ..., 2(n - i), and a chain label keeps its sign but
   is stored as +-(2j + 1), the gap between unused values 2j and
-  2j + 2.  Every later label is + or - an unused value, so its tests
-  against a chain label (a < x, a + x < 0, x > parent) depend only on
-  that label's sign and gap, and in the lowest gap not even on the
-  sign: that gap is always stored as +1.  Partial labelings that differ
-  only in the values finished subtrees took, or in the order of chain
-  labels inside one gap, share a state.
+  2j + 2.  Every later label is + or - an unused value, so its test
+  against its parent's label (x > parent) depends only on that label's
+  sign and gap, and in the lowest gap not even on the sign: that gap
+  is always stored as +1.  Partial labelings that differ only in the
+  values finished subtrees took, or in the order of chain labels
+  inside one gap, share a state.
 * Taking an unused value c, by a push or by a leaf, merges the two
   gaps beside it: codes above c move 2 toward 0 and a pushed label
   becomes +-(c - 1).  A leaf's cut labels just leave the chain, and
@@ -51,19 +68,19 @@ chain:
   terms and the same next state, so they are one move with a
   multiplicity.
 
-Only the current level is kept.  A histogram is one Python int: the
-count of (a, s) sits in the k-bit slot a*S + s, where k exceeds the
-bit length of the number of labelings the run visits and S exceeds
-the largest stat exponent.  Adding a vertex's terms is then a left shift and merging two
-partial histograms an addition; no slot can overflow into the next,
-because no count exceeds the number of labelings.  The final histogram
-is read out by ``qpoly._decode``, the decoder of the packed closed
-forms, with the constants of the sign terms as exponent offsets.
+Each walk keeps only the current level.  A histogram is one Python
+int: the count of (a, s) sits in the k-bit slot a*S + s, where k
+exceeds the bit length of the number of labelings the run visits and
+S exceeds the largest stat exponent.  Adding a vertex's terms is then
+a left shift and merging two partial histograms an addition; no slot
+can overflow into the next, because no count exceeds the number of
+labelings.  The final histogram is read out by ``qpoly._decode``, the
+decoder of the packed closed forms, with the constants of the sign
+terms as exponent offsets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
 
@@ -73,15 +90,15 @@ from .qpoly import BiPoly, _decode
 TERMS = ("inv", "n2", "n1", "p", "maj", "maj-b")
 
 
-def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
-    """Per vertex u in walk order: (is root, h(u), u has children,
-    merge start, keep).
+def _steps(forest: Forest) -> list[tuple[bool, int, bool, bool, int]]:
+    """Per vertex u in walk order: (is root, h(u), u has children, u is
+    the last child of a non-root parent, keep).
 
     With children, the next chain is the current one plus u's label,
-    after merging ``chain[merge:]`` into one run when u is the last
-    child of its parent, which stops being an attach point.  For a
+    after the parent's label becomes the placeholder 0 when u is its
+    last child, since the parent stops being an attach point.  For a
     leaf, the next chain is the first ``keep`` labels of the current
-    one.
+    one, the path down to the parent of the next vertex.
     """
     n, parent, children = forest.n, forest.parent, forest.children
     h = hook_lengths(forest)
@@ -89,6 +106,9 @@ def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
     height = [1] * (n + 1)
     for v in range(n, 0, -1):
         height[parent[v]] = max(height[parent[v]], height[v] + 1)
+    depth = [0] * (n + 1)
+    for v in range(1, n + 1):
+        depth[v] = depth[parent[v]] + 1
     kids = [sorted(c, key=height.__getitem__) for c in children]
     order: list[int] = []
     stack = kids[0][::-1]
@@ -96,22 +116,9 @@ def _steps(forest: Forest) -> list[tuple[bool, int, bool, int | None, int]]:
         v = stack.pop()
         order.append(v)
         stack.extend(kids[v][::-1])
-    position = {v: i for i, v in enumerate(order)}
-    ancestors: dict[int, tuple[int, ...]] = {0: ()}
-    steps = []
-    for i, u in enumerate(order):
-        p = parent[u]
-        anc = ancestors[u] = ancestors[p] + (p,) if p else ()
-        merge, keep = None, 0
-        if kids[u]:
-            if p and kids[p][-1] == u:
-                merge = 1 + max((j for j, a in enumerate(anc[:-1])
-                                 if position[kids[a][-1]] > i), default=-1)
-        else:
-            above = parent[order[i + 1]] if i + 1 < n else 0
-            keep = len(ancestors[above]) + 1 if above else 0
-        steps.append((p == 0, h[u], bool(kids[u]), merge, keep))
-    return steps
+    order.append(0)
+    return [(parent[u] == 0, h[u], bool(kids[u]), parent[u] > 0 and kids[parent[u]][-1] == u,
+             depth[parent[order[i + 1]]]) for i, u in enumerate(order[:-1])]
 
 
 def _coefficients(terms, n: int) -> tuple[dict[str, int], int]:
@@ -148,6 +155,103 @@ def _takes(n: int) -> dict[int, dict[int, int]]:
     return takes
 
 
+def _chain_walk(forest: Forest, w: dict[str, int], signed: bool) -> int:
+    """The packed histogram of a term set with no inv or n2 term,
+    placing labels on the vertices in walk order; a state is the chain."""
+    n = forest.n
+    exact = bool(w["maj"] or w["maj-b"])
+    w_pos, w_neg = w["p"], w["n1"]
+    takes = _takes(n)
+
+    frontier = {(): 1}
+    for i, (root, hook, push, last, keep) in enumerate(_steps(forest)):
+        w_des = hook * (w["maj-b"] if root else w["maj"] + w["maj-b"])
+        stop = 2 * (n - i) + 2
+        # (c, its map, pushed +c, pushed -c) per unused code c, highest
+        # first for a leaf; with no maj term every label is a placeholder
+        level = [(c, takes[c], c - 1, takes[c][-c]) if exact else (c, takes[c], 0, 0)
+                 for c in range(stop - 2, 0, -2)]
+        nxt: dict[tuple[int, ...], int] = {}
+        get = nxt.get
+        while frontier:
+            chain, hist = frontier.popitem()
+            part, end = hist, stop
+            above = 0 if root else chain[-1]
+            if push:
+                if last:
+                    chain = chain[:-1] + (0,)
+            else:
+                # the leaf's value and the cut labels leave; unused values
+                # with no chain label between them give the same terms and
+                # the same next chain, so the lowest of them moves for all
+                taken = {abs(a) for a in chain}
+                chain = chain[:keep]
+            pick = itemgetter(*chain) if len(chain) > 1 else None  # one index: a bare item
+            for c, to, x, y in level:
+                if not push:
+                    if c > 2 and c - 1 not in taken:
+                        continue
+                    # this move stands for the unused values c, ..., end - 2
+                    part, end = hist * ((end - c) // 2), c
+                after = pick(to) if pick else tuple(map(to.__getitem__, chain))
+                up = w_pos + w_des if c > above else w_pos
+                down = w_neg + w_des if -c > above else w_neg
+                if not push:
+                    nxt[after] = get(after, 0) + (part << up) + ((part << down) if signed else 0)
+                    continue
+                key = after + (x,)
+                nxt[key] = get(key, 0) + (part << up)
+                if signed:
+                    key = after + (y,)
+                    nxt[key] = get(key, 0) + (part << down)
+        frontier = nxt
+    return frontier.get((), 0)
+
+
+def _value_walk(forest: Forest, w: dict[str, int], signed: bool) -> int:
+    """The packed histogram of any term set, placing the absolute values
+    1, ..., n in increasing order; a state is the set of placed vertices."""
+    n, parent, children = forest.n, forest.parent, forest.children
+    h = hook_lengths(forest)
+    w_inv, w_n2, w_neg, w_maj = w["inv"], w["n2"], w["n1"], w["maj"] + w["maj-b"]
+    bit = [0] + [1 << v for v in range(n)]
+    ancestors, descendants = [0] * (n + 1), [0] * (n + 1)
+    for v in range(1, n + 1):
+        ancestors[v] = ancestors[parent[v]] | bit[parent[v]]
+    for v in range(n, 0, -1):
+        descendants[parent[v]] |= descendants[v] | bit[v]
+    # per vertex u: its bit, its relatives, its parent's bit, the + terms
+    # of u alone, u's + maj term once its parent is placed, and the -
+    # maj term that each child of u adds once placed
+    vertices = [(bit[u], ancestors[u], descendants[u], bit[parent[u]],
+                 w["p"] + (0 if parent[u] else h[u] * w["maj-b"]), h[u] * w_maj,
+                 [(bit[c], h[c] * w_maj) for c in children[u]] if w_maj else ())
+                for u in range(1, n + 1)]
+
+    frontier = {0: 1}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for b, above, below, up_bit, w_pos, w_up, kids in vertices:
+            for placed, hist in frontier.items():
+                if placed & b:
+                    continue
+                a = (placed & above).bit_count()
+                up = w_pos + w_inv * a + (w_up if placed & up_bit else 0)
+                key = placed | b
+                if not signed:
+                    nxt[key] = get(key, 0) + (hist << up)
+                    continue
+                d = (placed & below).bit_count()
+                down = w_neg + w_inv * d + w_n2 * (a + d)
+                for c, w_down in kids:
+                    if placed & c:
+                        down += w_down
+                nxt[key] = get(key, 0) + (hist << up) + (hist << down)
+        frontier = nxt
+    return frontier.popitem()[1]
+
+
 def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
                       aux_terms=None) -> BiPoly:
     """Sum of t^aux q^stat over the labelings of the given mode, where
@@ -164,74 +268,8 @@ def term_distribution(forest: Forest, stat_terms, mode: str = "signed",
     width = 1 + ((stat["inv"] + stat["n2"] + stat["maj"]) * (hooks - n)
                  + (stat["n1"] + stat["p"]) * n + stat["maj-b"] * hooks)
     w = {t: k * (width * aux[t] + stat[t]) for t in TERMS}
-    w_inv, w_n2, w_pos, w_neg = w["inv"], w["n2"], w["p"], w["n1"]
-    count_below = bool(w_inv or w_n2)
-    exact = bool(w["maj"] or w["maj-b"])
-    signed = mode != "ordinary"
-    takes = _takes(n)
-
-    frontier = {(): 1}
-    for i, (root, hook, push, merge, keep) in enumerate(_steps(forest)):
-        w_des = hook * (w["maj-b"] if root else w["maj"] + w["maj-b"])
-        stop = 2 * (n - i) + 2
-        # (c, its map, pushed -c) per unused code c, highest first for a leaf
-        level = [(c, takes[c], takes[c][-c]) for c in range(stop - 2, 0, -2)]
-        # with no maj term a pushed label is sorted into the run it joins
-        insert = merge is not None and not exact
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
-        while frontier:
-            chain, hist = frontier.popitem()
-            part, end = hist, stop
-            above = 0 if root else chain[-1]
-            ranks = sorted(chain) if count_below else ()
-            if push:
-                if merge is not None:
-                    run = sorted(chain[merge:]) if count_below else (0,) * (len(chain) - merge)
-                    chain = chain[:merge] + tuple(run)
-            else:
-                # the leaf's value and the cut labels leave; unused values
-                # with no chain label between them give the same terms and
-                # the same next chain, so the lowest of them moves for all
-                taken = {abs(a) for a in chain}
-                chain = chain[:keep]
-            pick = itemgetter(*chain) if len(chain) > 1 else None  # one index: a bare item
-            for c, to, y in level:
-                if not push:
-                    if c > 2 and c - 1 not in taken:
-                        continue
-                    # this move stands for the unused values c, ..., end - 2
-                    part, end = hist * ((end - c) // 2), c
-                after = pick(to) if pick else tuple(map(to.__getitem__, chain))
-                # +c and -c see the same counts, swapped: #a < c and #a < -c
-                up, down = w_pos, w_neg
-                if count_below:
-                    below, below_neg = bisect_left(ranks, c), bisect_left(ranks, -c)
-                    up += w_inv * below + w_n2 * below_neg
-                    down += w_inv * below_neg + w_n2 * below
-                if c > above:
-                    up += w_des
-                if -c > above:
-                    down += w_des
-                if not push:
-                    nxt[after] = get(after, 0) + (part << up) + ((part << down) if signed else 0)
-                    continue
-                if insert:
-                    j = bisect_left(after, c - 1, merge)
-                    key = after[:j] + (c - 1,) + after[j:]
-                else:
-                    key = after + (c - 1,)
-                nxt[key] = get(key, 0) + (part << up)
-                if signed:
-                    if insert:
-                        j = bisect_left(after, y, merge)
-                        key = after[:j] + (y,) + after[j:]
-                    else:
-                        key = after + (y,)
-                    nxt[key] = get(key, 0) + (part << down)
-        frontier = nxt
-
-    dist = _decode(frontier.get((), 0), k, width, aux_off, stat_off)
+    walk = _value_walk if w["inv"] or w["n2"] else _chain_walk
+    dist = _decode(walk(forest, w, mode != "ordinary"), k, width, aux_off, stat_off)
     # as 0 <= n1 <= n, (n+1)*aux + n1 splits by divmod; BiPoly sums the slices
     return BiPoly(((a // (n + 1), s), c) for (a, s), c in dist.items()
                   if a % (n + 1) % 2 == 0) if even else dist

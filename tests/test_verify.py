@@ -777,9 +777,9 @@ def _term_stat(terms):
 
 @pytest.mark.parametrize("stat, aux", [("maj-b-f", "inv-f"), ("fmaj-f", "n2-f"),
                                        ("maj-f", "inv-b-f"), ("rmaj-f", "inv-d-f")])
-def test_dp_keeps_the_runs_an_aux_count_term_reads(stat, aux):
+def test_dp_counts_the_terms_only_the_aux_has(stat, aux):
     # the stat alone has no inv or n2 term, so only the aux's count terms
-    # keep the labels between attach points; the raw term sums let inv-d
+    # send the term set to the value walk; the raw term sums let inv-d
     # run in signed mode too
     stat_terms, aux_terms = stats.FOREST_TERMS[stat], stats.FOREST_TERMS[aux]
     for n in range(5):
@@ -789,6 +789,61 @@ def test_dp_keeps_the_runs_an_aux_count_term_reads(stat, aux):
                                             aux=_term_stat(aux_terms))
                 assert chaindp.term_distribution(forest, stat_terms, mode, aux_terms) == brute, \
                     (forest, mode)
+
+
+def _spy_on_walks(monkeypatch):
+    """Record the name of each walk that term_distribution runs, with its
+    arguments and its packed histogram."""
+    runs = []
+    for name in ("_value_walk", "_chain_walk"):
+        def spy(*args, walk=getattr(chaindp, name), name=name):
+            runs.append((name, args, walk(*args)))
+            return runs[-1][2]
+        monkeypatch.setattr(chaindp, name, spy)
+    return runs
+
+
+def _counts(terms):
+    return bool(terms and (terms.get("inv") or terms.get("n2")))
+
+
+def test_each_term_set_runs_one_walk(monkeypatch):
+    # an inv or n2 coefficient in the stat or the aux picks the value
+    # walk, anything else the chain walk, and no call runs both
+    runs = _spy_on_walks(monkeypatch)
+    forest = parse_forest("(()())(())")
+    for stat_terms in stats.FOREST_TERMS.values():
+        for aux_terms in (None, *stats.FOREST_TERMS.values()):
+            for mode in MODES:
+                runs.clear()
+                chaindp.term_distribution(forest, stat_terms, mode, aux_terms)
+                walk = "_value_walk" if _counts(stat_terms) or _counts(aux_terms) else "_chain_walk"
+                assert [name for name, _, _ in runs] == [walk], (stat_terms, aux_terms, mode)
+
+
+def test_value_walk_agrees_with_the_chain_walk(monkeypatch):
+    # every term set the chain walk serves, on every unordered class with
+    # n <= 6 in every mode, gives the same packed int on the value walk
+    runs, calls = _spy_on_walks(monkeypatch), 0
+    maj_ids = [s for s, terms in stats.FOREST_TERMS.items() if not _counts(terms)]
+    for n in range(7):
+        for forest in {canonical_form(f.render()): f for f in enumerate_forests(n)}.values():
+            for mode in MODES:
+                for stat in maj_ids:
+                    for aux in (None, *maj_ids):
+                        chaindp.term_distribution(forest, stats.FOREST_TERMS[stat], mode,
+                                                  stats.FOREST_TERMS.get(aux))
+                        calls += 1
+    monkeypatch.undo()  # the spies stop recording before the runs are replayed
+    assert len(runs) == calls
+    for name, args, packed in runs:
+        assert name == "_chain_walk" and chaindp._value_walk(*args) == packed, args
+
+
+@pytest.mark.parametrize("theorem", ["thm-inv-b", "thm-inv-d", "thm-bivariate-inv"])
+def test_count_rows_pass_on_the_12_vertex_chain(theorem):
+    # the deepest shape for the count terms: the value walk's 2^12 states
+    assert verify.check_theorem(chain_forest(12), theorem).passed
 
 
 def test_even_odd_terms_match_brute_force():
@@ -915,11 +970,9 @@ def test_brute_force_agrees_with_the_canonical_form():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("theorem, max_n", [
-    # the chain DP keeps attach labels alone for the maj rows, so they go further
-    (theorem, 9 if theorem in ("thm-fmaj", "thm-rmaj", "thm-bivariate-majB") else 8)
-    for theorem in DIST_THEOREMS + ["eq-even-odd"]])
-def test_distribution_theorems_swept(theorem, max_n):
+@pytest.mark.parametrize("theorem", DIST_THEOREMS + ["eq-even-odd"])
+def test_distribution_theorems_swept(theorem):
+    max_n = 9
     reports = verify.sweep(theorem, max_n, jobs=2)
     assert len(reports) == sum(len(list(enumerate_forests(n)))
                                for n in range(verify.THEOREMS[theorem].start, max_n + 1))
