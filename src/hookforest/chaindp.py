@@ -35,8 +35,8 @@ read only u's sign and which relatives are placed:
 where maj-b also counts as maj.  Both signs lead to the same state, the
 set of placed vertices as a bitmask, so the walk makes n * 2^(n-1)
 moves whatever the shape, with no labels kept.  On a deep forest that
-is far fewer states than the labels the counts would need; on a bushy
-one every subset of vertices is a state.
+is far fewer states than the ancestor labels the counts read; on a
+bushy one every subset of vertices is a state.
 
 The chain walk serves the term sets whose only comparisons are the maj
 terms.  It places labels on the vertices in preorder, one vertex per
@@ -68,15 +68,15 @@ vertex is its chain:
   terms and the same next state, so they are one move with a
   multiplicity.
 
-Each walk keeps only the current level.  A histogram is one Python
-int: the count of (a, s) sits in the k-bit slot a*S + s, where k
-exceeds the bit length of the number of labelings the run visits and
-S exceeds the largest stat exponent.  Adding a vertex's terms is then
-a left shift and merging two partial histograms an addition; no slot
-can overflow into the next, because no count exceeds the number of
-labelings.  The final histogram is read out by ``qpoly._decode``, the
-decoder of the packed closed forms, with the constants of the sign
-terms as exponent offsets.
+Each walk keeps the current level and the next.  A histogram is one
+Python int: the count of (a, s) sits in the k-bit slot a*S + s, where
+k exceeds the bit length of the number of labelings the run visits
+and S exceeds the largest stat exponent.  Adding a vertex's terms is
+then a left shift and merging two partial histograms an addition; no
+slot can overflow into the next, because no count exceeds the number
+of labelings.  The final histogram is read out by ``qpoly._decode``,
+the decoder of the packed closed forms, with the constants of the
+sign terms as exponent offsets.
 """
 
 from __future__ import annotations
