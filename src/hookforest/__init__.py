@@ -5,7 +5,8 @@ Forests, signed words and labelings, and linear extensions live in
 exact (t, q)-polynomials in ``qpoly``; the closed-form products in
 ``formulas``; the verification machinery, partitions, bijections and
 counterexample search in ``verify``, whose distributions run on the
-ancestor-chain dynamic program of ``chaindp``.
+two dynamic programs of ``chaindp``: the value walk for term sets with
+an inv or n2 term, the chain walk for the rest.
 """
 
 from . import formulas, stats, verify

@@ -4,7 +4,8 @@ and counterexample search.
 Every check compares an exhaustively computed left-hand side against
 an independently built closed form and reports the outcome as a
 ``CheckReport``.  Forest-statistic distributions come from the
-ancestor-chain dynamic program in ``chaindp``, and the partition series
+dynamic programs in ``chaindp`` (the value walk for term sets with an
+inv or n2 term, the chain walk for the rest), and the partition series
 of ``lem-partition-gf`` from a P-partition dynamic program; the other
 left-hand sides enumerate labelings, words or partitions.  A signed
 word is a labeling of the chain, so a size row whose statistics all
@@ -94,8 +95,9 @@ def distribution(forest: Forest, stat, mode: str = "signed", aux=None) -> BiPoly
 
     ``stat`` and ``aux`` are forest statistic ids (with or without the
     ``-f`` suffix) or callables taking (forest, values).  When both are
-    ids the ancestor-chain dynamic program of ``chaindp`` computes the
-    distribution; a callable is evaluated on every labeling.
+    ids ``chaindp.term_distribution`` computes the distribution, on the
+    value walk if either has an inv or n2 term and on the chain walk
+    otherwise; a callable is evaluated on every labeling.
     """
     stat_id, stat_fn = stats.resolve_forest_stat(stat)
     aux_id, aux_fn = stats.resolve_forest_stat(aux) if aux is not None else (None, None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from hookforest import cli, verify
-from hookforest.forest import canonical_form, hook_lengths
+from hookforest.forest import canonical_form, hook_lengths, parse_forest
 from hookforest.qpoly import BiPoly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -109,11 +110,77 @@ def test_sweep(capsys):
     assert "9 checks, 0 failures" in out
 
 
-def test_sweep_jobs_deterministic(capsys):
-    _, serial, _ = run(capsys, "sweep", "--max-n", "3", "--theorem", "thm-inv-b")
-    _, threaded, _ = run(capsys, "sweep", "--max-n", "3", "--theorem", "thm-inv-b",
-                         "--jobs", "4")
-    assert serial == threaded
+def test_sweep_jobs_deterministic(capsys, pool_starts):
+    # pooled reports come back unpickled, one class at a time, so the
+    # records cannot lean on one sweep's polynomial objects
+    for fmt in ("human", "records"):
+        argv = ("sweep", "--max-n", "3", "--theorem", "thm-inv-b", "--format", fmt)
+        _, serial, _ = run(capsys, *argv)
+        assert not pool_starts
+        _, pooled, _ = run(capsys, *argv, "--jobs", "4")
+        assert serial == pooled and pool_starts
+        pool_starts.clear()
+
+
+def test_records_are_each_reports_to_record(capsys, monkeypatch):
+    # a failed class is checked again forest by forest; its witness
+    # needs escaping, and non-ASCII text goes out as \u escapes
+    def fail(forest):
+        n = len(hook_lengths(forest)) - 1
+        return verify.CheckReport("eq-coset-fmaj", forest.render(),
+                                  BiPoly.from_triples([[0, n, 1]]),
+                                  BiPoly.from_triples([[1, n, 2]]), False,
+                                  f'hooks "{hook_lengths(forest)[1:]}" \\ \u2260 {n}')
+
+    bogus = dataclasses.replace(verify.THEOREMS["eq-coset-fmaj"], lhs=fail)
+    monkeypatch.setitem(verify.THEOREMS, "eq-coset-fmaj", bogus)
+    batch = []
+    # a t-term pass, size rows, Series sides, None sides, the empty
+    # polynomial and the failed rows
+    for theorem, max_n in (("thm-bivariate-inv", 3), ("len-b", 3),
+                           ("lem-partition-gf", 2), ("dec1", 2),
+                           ("eq-even-odd", 2), ("eq-coset-fmaj", 3)):
+        reports = verify.sweep(theorem, max_n, degree=4)
+        code, out, _ = run(capsys, "sweep", "--theorem", theorem, "--max-n", str(max_n),
+                           "--degree", "4", "--format", "records")
+        assert code == (0 if theorem != "eq-coset-fmaj" else 1)
+        assert out == "".join(json.dumps(r.to_record()) + "\n" for r in reports)
+        batch += reports
+    assert {"n=3", "(())()"} <= {r.forest for r in batch}
+    assert any(r.to_record()["lhs"] == [] for r in batch)
+    assert any('"' in r.witness and "\\" in r.witness and "\u2260" in r.witness
+               for r in batch if not r.passed)
+    # one batch mixing every kind, a report repeated, and a pass whose
+    # sides differ, which no row makes but a report may carry
+    one, q = BiPoly.from_triples([[0, 0, 1]]), BiPoly.from_triples([[0, 1, 1]])
+    batch += [batch[0], verify.CheckReport("thm-bw", "()", one, q, True)]
+    assert list(cli._record_lines(batch)) == [json.dumps(r.to_record()) for r in batch]
+    for forest, theorem in (("(()())", "thm-bivariate-inv"), ("(())", "eq-even-odd")):
+        report = verify.check_theorem(parse_forest(forest), theorem)
+        _, out, _ = run(capsys, "check", "--forest", forest, "--theorem", theorem,
+                        "--format", "records")
+        assert out == json.dumps(report.to_record()) + "\n"
+
+
+def test_records_serialize_each_polynomial_once(capsys, monkeypatch):
+    calls = []
+    real = BiPoly.to_triples
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(BiPoly, "to_triples", counted)
+    code, out, _ = run(capsys, "sweep", "--max-n", "5", "--theorem", "thm-inv-b",
+                       "--format", "records")
+    # the 65 plane forests fall into 37 classes, each passing with its
+    # rhs equal to its lhs
+    assert code == 0 and len(out.splitlines()) == 65
+    assert len(calls) == 37
+    calls.clear()
+    code, _, _ = run(capsys, "check", "--forest", "(()())", "--theorem", "thm-inv-b",
+                     "--format", "records")
+    assert code == 0 and len(calls) == 1
 
 
 def test_one_parser_serves_every_call(capsys):

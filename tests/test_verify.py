@@ -454,23 +454,6 @@ def test_coset_identity_swept_to_n6():
     assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
 
 
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """Force the worker pool: a zero threshold, and two CPUs even on a
-    one-CPU host.  Returns the worker counts of the pools started."""
-    starts = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def counted(workers, *args, **kwargs):
-        starts.append(workers)
-        return real(workers, *args, **kwargs)
-
-    monkeypatch.setattr(verify, "POOL_THRESHOLD_S", 0.0)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-    return starts
-
-
 def test_workers_are_capped_by_jobs_cpus_and_items(monkeypatch):
     for cpus, cap in ((1, 1), (None, 1), (8, 8)):
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
