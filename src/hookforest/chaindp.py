@@ -33,10 +33,15 @@ read only u's sign and which relatives are placed:
          descendants) + maj * (h(c) summed over the placed children c)
 
 where maj-b also counts as maj.  Both signs lead to the same state, the
-set of placed vertices as a bitmask, so the walk makes n * 2^(n-1)
-moves whatever the shape, with no labels kept.  On a deep forest that
-is far fewer states than the ancestor labels the counts read; on a
-bushy one every subset of vertices is a state.
+set of placed vertices as a bitmask, with no labels kept.  No term
+compares labels in two different trees, and every term keeps its value
+when a tree's labels are replaced by their ranks within that tree, so
+each tree r is walked on its own over the values 1, ..., h(r), and the
+forest's histogram is the product of the trees' times the multinomial
+n! / prod h(r)!, the ways to choose which absolute values each tree
+takes.  The walk makes h(r) * 2^(h(r)-1) moves per tree r.  On a deep
+tree that is far fewer states than the ancestor labels the counts
+read; on a bushy one every subset of its vertices is a state.
 
 The chain walk serves the term sets whose only comparisons are the maj
 terms.  It places labels on the vertices in preorder, one vertex per
@@ -68,20 +73,24 @@ vertex is its chain:
   terms and the same next state, so they are one move with a
   multiplicity.
 
-Each walk keeps the current level and the next.  A histogram is one
-Python int: the count of (a, s) sits in the k-bit slot a*S + s, where
-k exceeds the bit length of the number of labelings the run visits
-and S exceeds the largest stat exponent.  Adding a vertex's terms is
-then a left shift and merging two partial histograms an addition; no
+The chain walk keeps the current level and the next.  The value walk
+keeps a tree's states in one list indexed by the mask, reads them in
+popcount order and zeroes each one it reads, so only two levels hold
+histograms.  A histogram is one Python int: the count of (a, s) sits
+in the k-bit slot a*S + s, where k exceeds the bit length of the
+number of labelings the run visits and S exceeds the largest stat
+exponent.  Adding a vertex's terms is then a left shift, merging two
+partial histograms an addition and joining two trees a product; no
 slot can overflow into the next, because no count exceeds the number
-of labelings.  The final histogram is read out by ``qpoly._decode``,
-the decoder of the packed closed forms, with the constants of the
-sign terms as exponent offsets.
+of the forest's labelings and no stat exponent reaches S.  The final
+histogram is read out by ``qpoly._decode``, the decoder of the packed
+closed forms, with the constants of the sign terms as exponent offsets.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 from operator import itemgetter
 
 from .forest import Forest, hook_lengths, labeling_count
@@ -209,12 +218,18 @@ def _chain_walk(forest: Forest, w: dict[str, int], signed: bool) -> int:
 
 
 def _value_walk(forest: Forest, w: dict[str, int], signed: bool) -> int:
-    """The packed histogram of any term set, placing the absolute values
-    1, ..., n in increasing order; a state is the set of placed vertices."""
+    """The packed histogram of any term set: each tree's walk places the
+    absolute values 1, ..., h(root) in increasing order, a state being
+    the set of its placed vertices, and the forest's histogram is the
+    multinomial n! / prod h(root)! times the product of the trees'."""
     n, parent, children = forest.n, forest.parent, forest.children
     h = hook_lengths(forest)
     w_inv, w_n2, w_neg, w_maj = w["inv"], w["n2"], w["n1"], w["maj"] + w["maj-b"]
-    bit = [0] + [1 << v for v in range(n)]
+    # each bit counts from its own root, so every mask stays inside one tree
+    root = [0] * (n + 1)
+    for v in range(1, n + 1):
+        root[v] = root[parent[v]] or v
+    bit = [0] + [1 << (v - root[v]) for v in range(1, n + 1)]
     ancestors, descendants = [0] * (n + 1), [0] * (n + 1)
     for v in range(1, n + 1):
         ancestors[v] = ancestors[parent[v]] | bit[parent[v]]
@@ -228,28 +243,36 @@ def _value_walk(forest: Forest, w: dict[str, int], signed: bool) -> int:
                  [(bit[c], h[c] * w_maj) for c in children[u]] if w_maj else ())
                 for u in range(1, n + 1)]
 
-    frontier = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for b, above, below, up_bit, w_pos, w_up, kids in vertices:
-            for placed, hist in frontier.items():
+    # the ways to deal the absolute values out to the trees: every term
+    # reads only the ranks of its own tree's values
+    packed = factorial(n)
+    for r in forest.roots:
+        packed //= factorial(h[r])
+    for r in forest.roots:
+        size = h[r]
+        tree = vertices[r - 1:r - 1 + size]
+        states = [0] * (1 << size)
+        states[0] = 1
+        # in popcount order every state is complete when read, and zeroing
+        # it leaves only the current level and the next alive
+        for placed in sorted(range(1 << size), key=int.bit_count):
+            hist, states[placed] = states[placed], 0
+            for b, above, below, up_bit, w_pos, w_up, kids in tree:
                 if placed & b:
                     continue
                 a = (placed & above).bit_count()
                 up = w_pos + w_inv * a + (w_up if placed & up_bit else 0)
-                key = placed | b
                 if not signed:
-                    nxt[key] = get(key, 0) + (hist << up)
+                    states[placed | b] += hist << up
                     continue
                 d = (placed & below).bit_count()
                 down = w_neg + w_inv * d + w_n2 * (a + d)
                 for c, w_down in kids:
                     if placed & c:
                         down += w_down
-                nxt[key] = get(key, 0) + (hist << up) + (hist << down)
-        frontier = nxt
-    return frontier.popitem()[1]
+                states[placed | b] += (hist << up) + (hist << down)
+        packed *= hist
+    return packed
 
 
 def term_distribution(forest: Forest, stat_terms, mode: str = "signed",

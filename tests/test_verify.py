@@ -3,6 +3,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import json
+import math
 import os
 import pathlib
 import tracemalloc
@@ -821,6 +822,85 @@ def test_value_walk_agrees_with_the_chain_walk(monkeypatch):
     assert len(runs) == calls
     for name, args, packed in runs:
         assert name == "_chain_walk" and chaindp._value_walk(*args) == packed, args
+
+
+def _single_walk(forest, w, signed):
+    """The reference value walk: one walk over the placed-vertex sets of
+    the whole forest, with a bit per vertex and no product over trees."""
+    n, parent, children = forest.n, forest.parent, forest.children
+    h = hook_lengths(forest)
+    w_inv, w_n2, w_neg, w_maj = w["inv"], w["n2"], w["n1"], w["maj"] + w["maj-b"]
+    bit = [0] + [1 << v for v in range(n)]
+    ancestors, descendants = [0] * (n + 1), [0] * (n + 1)
+    for v in range(1, n + 1):
+        ancestors[v] = ancestors[parent[v]] | bit[parent[v]]
+    for v in range(n, 0, -1):
+        descendants[parent[v]] |= descendants[v] | bit[v]
+    vertices = [(bit[u], ancestors[u], descendants[u], bit[parent[u]],
+                 w["p"] + (0 if parent[u] else h[u] * w["maj-b"]), h[u] * w_maj,
+                 [(bit[c], h[c] * w_maj) for c in children[u]] if w_maj else ())
+                for u in range(1, n + 1)]
+
+    frontier = {0: 1}
+    for _ in range(n):
+        nxt = {}
+        get = nxt.get
+        for b, above, below, up_bit, w_pos, w_up, kids in vertices:
+            for placed, hist in frontier.items():
+                if placed & b:
+                    continue
+                a = (placed & above).bit_count()
+                up = w_pos + w_inv * a + (w_up if placed & up_bit else 0)
+                key = placed | b
+                if not signed:
+                    nxt[key] = get(key, 0) + (hist << up)
+                    continue
+                d = (placed & below).bit_count()
+                down = w_neg + w_inv * d + w_n2 * (a + d)
+                for c, w_down in kids:
+                    if placed & c:
+                        down += w_down
+                nxt[key] = get(key, 0) + (hist << up) + (hist << down)
+        frontier = nxt
+    return frontier.popitem()[1]
+
+
+def _assert_value_walk_matches_the_single_walk(monkeypatch, forests, cases):
+    runs = _spy_on_walks(monkeypatch)
+    for forest in forests:
+        for stat, aux, mode in cases:
+            chaindp.term_distribution(forest, stats.FOREST_TERMS[stat], mode,
+                                      stats.FOREST_TERMS.get(aux))
+    monkeypatch.undo()
+    assert len(runs) == len(forests) * len(cases)
+    for name, args, packed in runs:
+        assert name == "_value_walk" and _single_walk(*args) == packed, args
+
+
+def test_value_walk_per_tree_matches_the_single_walk(monkeypatch):
+    # every plane forest with n <= 6, every stat with an inv or n2 term,
+    # against one walk over the whole forest's placed-vertex sets
+    count_ids = [s for s, terms in stats.FOREST_TERMS.items() if _counts(terms)]
+    cases = [(stat, aux, mode) for stat in count_ids
+             for aux in (None, "n1-f", "p-f", "maj-f") for mode in MODES]
+    forests = [f for n in range(7) for f in enumerate_forests(n)]
+    _assert_value_walk_matches_the_single_walk(monkeypatch, forests, cases)
+
+
+def test_value_walk_per_tree_matches_the_single_walk_on_mixed_forests(monkeypatch):
+    # a chain, a star and lone roots in one forest, in two orders
+    forests = [parse_forest("(((())))" + "(()()())" + "()()()"),
+               parse_forest("()" + "(()()()())" + "()" + "((((()))))")]
+    assert [f.n for f in forests] == [11, 12]
+    cases = [("inv-b-f", "maj-f", "signed"), ("inv-d-f", "p-f", "even-signed"),
+             ("nmaj-f", None, "ordinary")]
+    _assert_value_walk_matches_the_single_walk(monkeypatch, forests, cases)
+
+
+def test_12_root_antichain_inv_b_is_the_multinomial_times_its_roots():
+    # every tree is one root: inv-b is n1, so 12! (1 + q)^12
+    dist = verify.distribution(forest_from_parents([0] * 12), "inv-b-f", "signed")
+    assert dist == BiPoly(((0, j), math.factorial(12) * math.comb(12, j)) for j in range(13))
 
 
 @pytest.mark.parametrize("theorem", ["thm-inv-b", "thm-inv-d", "thm-bivariate-inv"])
